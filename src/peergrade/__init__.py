@@ -39,7 +39,6 @@ from .harness import (
     run_sweep,
 )
 from .io import (
-    canonical_json,
     load_dataset,
     load_scenario_config,
     load_split_config,
@@ -49,22 +48,15 @@ from .io import (
     write_results,
 )
 from .model import (
-    AdamState,
-    ForwardCache,
     ModelParams,
     TrainConfig,
-    adam_step,
-    backward,
-    forward,
-    init_adam_state,
-    init_params,
     initial_features,
     load_model,
-    mse_loss,
     predict,
     save_model,
     train,
 )
+from .schema import canonical_json
 from .synthetic import (
     BiasReliabilityConfig,
     ErConfig,
@@ -86,22 +78,21 @@ from .synthetic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "BiasReliabilityConfig", "Dataset", "DuplicateEntryError",
-    "ErConfig", "ExperimentReport", "ForwardCache", "GroundTruth",
-    "HomophilyConfig", "METHODS", "METHOD_AVERAGE", "METHOD_GCN",
-    "METHOD_MEDIAN", "MixtureConfig", "ModelParams", "PeergradeError",
-    "PropagationMatrix", "ScenarioConfig", "SchemaError", "SoanGraph",
-    "Split", "SplitConfig", "StrategicConfig", "SweepResult", "SweepSpec",
-    "TrainConfig", "TrainingDivergedError", "ValidationError",
-    "ValidationReport", "adam_step", "average_predict", "backward",
-    "build_graph", "build_scenario", "canonical_json", "datasets_equal",
-    "default_scenario", "forward", "from_matrices",
+    "BiasReliabilityConfig", "Dataset", "DuplicateEntryError", "ErConfig",
+    "ExperimentReport", "GroundTruth", "HomophilyConfig", "METHODS",
+    "METHOD_AVERAGE", "METHOD_GCN", "METHOD_MEDIAN", "MixtureConfig",
+    "ModelParams", "PeergradeError", "PropagationMatrix",
+    "ScenarioConfig", "SchemaError", "SoanGraph", "Split", "SplitConfig",
+    "StrategicConfig", "SweepResult", "SweepSpec", "TrainConfig",
+    "TrainingDivergedError", "ValidationError", "ValidationReport",
+    "average_predict", "build_graph", "build_scenario", "canonical_json",
+    "datasets_equal", "default_scenario", "from_matrices",
     "gen_assess_bias_reliability", "gen_assess_strategic",
     "gen_ground_truth", "gen_ownership_one_to_one", "gen_social_er",
-    "gen_social_homophily", "graphs_equal", "init_adam_state", "init_params",
-    "initial_features", "load_dataset", "load_model", "load_scenario_config",
+    "gen_social_homophily", "graphs_equal", "initial_features",
+    "load_dataset", "load_model", "load_scenario_config",
     "load_split_config", "load_train_config", "median_predict",
-    "monte_carlo_splits", "mse_loss", "predict", "propagation_matrix",
-    "read_results", "rmse", "run_experiment", "run_sweep", "save_dataset",
-    "save_model", "strategic_scenario", "train", "validate", "write_results",
+    "monte_carlo_splits", "predict", "propagation_matrix", "read_results",
+    "rmse", "run_experiment", "run_sweep", "save_dataset", "save_model",
+    "strategic_scenario", "train", "validate", "write_results",
 ]

@@ -29,6 +29,7 @@ from .harness import (
     run_sweep,
 )
 from .model import initial_features, load_model, predict, save_model, train
+from .schema import to_doc
 from .synthetic import build_scenario
 
 EXIT_OK = 0
@@ -124,8 +125,7 @@ def _cmd_eval(args) -> int:
     _emit(pio.canonical_json({
         "method": "gcn-soan",
         "model": str(args.model),
-        "split": {"train_fraction": split_cfg.train_fraction,
-                  "n_splits": split_cfg.n_splits, "seed": split_cfg.seed},
+        "split": to_doc(split_cfg),
         "per_split": scores,
         "mean": float(np.mean(scores)),
         "std": float(np.std(scores, ddof=1)) if len(scores) > 1 else 0.0,

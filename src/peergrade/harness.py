@@ -17,14 +17,14 @@ import numpy as np
 from . import baselines
 from .errors import PeergradeError, ValidationError
 from .graph import Dataset, GroundTruth, Split, propagation_matrix
-from .model import TrainConfig, initial_features, predict, train, train_config_dict
+from .model import TrainConfig, initial_features, predict, train
+from .schema import SCHEMA_VERSION, canonical_json, to_doc
 from .synthetic import (
     BiasReliabilityConfig,
     ErConfig,
     HomophilyConfig,
     MixtureConfig,
     ScenarioConfig,
-    StrategicConfig,
     build_scenario,
 )
 
@@ -94,52 +94,14 @@ class ExperimentReport:
     wall_clock_seconds: float
 
     def document(self, include_timing: bool = True) -> dict:
-        doc = {
-            "schema_version": 1,
-            "kind": "experiment-report",
-            "config": self.config,
-            "methods": list(self.methods),
-            "per_split": self.per_split,
-            "mean": self.mean,
-            "std": self.std,
-        }
-        if include_timing:
-            doc["wall_clock_seconds"] = self.wall_clock_seconds
+        doc = {"schema_version": SCHEMA_VERSION, "kind": "experiment-report", **to_doc(self)}
+        if not include_timing:
+            del doc["wall_clock_seconds"]
         return doc
 
     def canonical_json(self, include_timing: bool = False) -> str:
         """Deterministic serialization; timing is excluded by default."""
-        from .io import canonical_json
-
         return canonical_json(self.document(include_timing=include_timing))
-
-
-def _scenario_dict(cfg: ScenarioConfig) -> dict:
-    social: Optional[dict]
-    if cfg.social is None:
-        social = {"kind": "none"}
-    elif isinstance(cfg.social, ErConfig):
-        social = {"kind": "er", "p": cfg.social.p}
-    else:
-        social = {"kind": "homophily", "tau": cfg.social.tau}
-    if isinstance(cfg.assessment, StrategicConfig):
-        assessment = {"kind": "strategic", "k": cfg.assessment.k, "sigma_h": cfg.assessment.sigma_h}
-    else:
-        assessment = {
-            "kind": "bias-reliability", "k": cfg.assessment.k, "alpha": cfg.assessment.alpha,
-            "beta": cfg.assessment.beta, "sigma_max": cfg.assessment.sigma_max,
-        }
-    return {
-        "n": cfg.n, "m": cfg.m, "seed": cfg.seed,
-        "mixture": {"pi": list(cfg.mixture.pi), "mu": list(cfg.mixture.mu),
-                    "sigma": list(cfg.mixture.sigma)},
-        "social": social,
-        "assessment": assessment,
-    }
-
-
-def _split_dict(cfg: SplitConfig) -> dict:
-    return {"train_fraction": cfg.train_fraction, "n_splits": cfg.n_splits, "seed": cfg.seed}
 
 
 def run_experiment(
@@ -168,12 +130,12 @@ def run_experiment(
     started = time.perf_counter()
     if isinstance(scenario, ScenarioConfig):
         dataset = build_scenario(scenario)
-        config_echo: dict = {"scenario": _scenario_dict(scenario)}
+        config_echo: dict = {"scenario": to_doc(scenario)}
     else:
         dataset = scenario
         config_echo = {"dataset": {"n": dataset.graph.n, "m": dataset.graph.m}}
-    config_echo["split"] = _split_dict(split_cfg)
-    config_echo["train"] = train_config_dict(train_cfg) if train_cfg is not None else None
+    config_echo["split"] = to_doc(split_cfg)
+    config_echo["train"] = to_doc(train_cfg) if train_cfg is not None else None
     config_echo["methods"] = list(methods)
 
     splits = monte_carlo_splits(dataset.graph.m, split_cfg)
@@ -280,7 +242,7 @@ def _apply_sweep_value(
     elif param == "tau":
         scenario = replace(scenario, social=HomophilyConfig(tau=float(value)))
     elif param == "p":
-        scenario = replace(scenario, social=ErConfig(n=scenario.n, p=float(value)))
+        scenario = replace(scenario, social=ErConfig(p=float(value)))
     return scenario, split, train_cfg
 
 

@@ -11,8 +11,6 @@ separators, newline-terminated, unknown fields rejected.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -22,28 +20,21 @@ from .errors import SchemaError, ValidationError
 from .graph import Dataset, GroundTruth, build_graph
 from .harness import ExperimentReport, SplitConfig, SweepSpec
 from .model import TrainConfig
-from .synthetic import (
-    BiasReliabilityConfig,
-    ErConfig,
-    HomophilyConfig,
-    MixtureConfig,
-    ScenarioConfig,
-    StrategicConfig,
-    default_scenario,
-    strategic_scenario,
+from .schema import (
+    SCHEMA_VERSION,
+    canonical_json,
+    expect,
+    expect_list,
+    from_doc,
+    read_json_document,
+    reject_unknown,
 )
-
-SCHEMA_VERSION = 1
+from .synthetic import ScenarioConfig, default_scenario, strategic_scenario
 
 ASSESSMENT_HEADER = ["grader_id", "item_id", "grade"]
 OWNERSHIP_HEADER = ["user_id", "item_id", "weight"]
 SOCIAL_HEADER = ["user_a", "user_b", "weight"]
 TRUTH_HEADER = ["item_id", "value"]
-
-
-def canonical_json(obj) -> str:
-    """Sorted keys, compact separators, newline-terminated, no NaN/Inf."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _fmt(x: float) -> str:
@@ -154,9 +145,9 @@ def load_dataset(path, scale_max: Optional[float] = None) -> Dataset:
     manifest_path = root / "manifest.json"
     if manifest_path.exists():
         manifest = read_json_document(manifest_path, expected_kind="dataset-bundle")
-        _reject_unknown(manifest, {"schema_version", "kind", "n", "m", "user_ids", "item_ids"}, "/")
-        declared_users = [str(u) for u in manifest.get("user_ids", [])]
-        declared_items = [str(i) for i in manifest.get("item_ids", [])]
+        reject_unknown(manifest, {"schema_version", "kind", "n", "m", "user_ids", "item_ids"}, "/")
+        declared_users = [str(u) for u in expect(manifest.get("user_ids", []), list, "/user_ids")]
+        declared_items = [str(i) for i in expect(manifest.get("item_ids", []), list, "/item_ids")]
 
     if scale_max is not None:
         assessments = [(u, i, g / scale_max) for u, i, g in assessments]
@@ -187,185 +178,51 @@ def load_dataset(path, scale_max: Optional[float] = None) -> Dataset:
     return Dataset(graph=graph, truth=GroundTruth(v, mask), split=None)
 
 
-# --- JSON documents -----------------------------------------------------------
+# --- config documents ---------------------------------------------------------
 
-def read_json_document(path, expected_kind: Optional[str] = None) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"missing required file {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{p}: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{p}: top-level JSON value must be an object")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaError(f"{p}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    if expected_kind is not None and doc.get("kind", expected_kind) != expected_kind:
-        raise SchemaError(f"{p}: expected a {expected_kind!r} document, got {doc.get('kind')!r}")
-    return doc
+ENVELOPE = ("schema_version", "kind")
+PRESETS = {"default": default_scenario, "strategic": strategic_scenario}
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise SchemaError(f"{where}: unknown key {unknown[0]!r}")
-
-
-def _expect(obj, typ, where: str):
-    if typ is float and isinstance(obj, int) and not isinstance(obj, bool):
-        return float(obj)
-    if not isinstance(obj, typ) or isinstance(obj, bool):
-        raise SchemaError(f"{where}: expected {typ.__name__}, got {type(obj).__name__}")
-    return obj
-
-
-def _pair(obj, where: str) -> tuple[float, float]:
-    if not isinstance(obj, list) or len(obj) != 2:
-        raise SchemaError(f"{where}: expected a two-element list")
-    return (_expect(obj[0], float, where + "/0"), _expect(obj[1], float, where + "/1"))
-
-
-def parse_mixture(obj: dict, where: str, base: MixtureConfig) -> MixtureConfig:
-    _expect(obj, dict, where)
-    _reject_unknown(obj, {"pi", "mu", "sigma"}, where)
-    return MixtureConfig(
-        pi=_pair(obj["pi"], where + "/pi") if "pi" in obj else base.pi,
-        mu=_pair(obj["mu"], where + "/mu") if "mu" in obj else base.mu,
-        sigma=_pair(obj["sigma"], where + "/sigma") if "sigma" in obj else base.sigma,
-    )
-
-
-def parse_social(obj: dict, where: str, n: int):
-    _expect(obj, dict, where)
-    kind = obj.get("kind")
-    if kind == "none":
-        _reject_unknown(obj, {"kind"}, where)
-        return None
-    if kind == "er":
-        _reject_unknown(obj, {"kind", "p"}, where)
-        return ErConfig(n=n, p=_expect(obj.get("p", 0.05), float, where + "/p"))
-    if kind == "homophily":
-        _reject_unknown(obj, {"kind", "tau"}, where)
-        return HomophilyConfig(tau=_expect(obj.get("tau", 0.1), float, where + "/tau"))
-    raise SchemaError(f"{where}/kind: expected 'none', 'er' or 'homophily', got {kind!r}")
-
-
-def parse_assessment(obj: dict, where: str):
-    _expect(obj, dict, where)
-    kind = obj.get("kind")
-    if kind == "strategic":
-        _reject_unknown(obj, {"kind", "k", "sigma_h"}, where)
-        return StrategicConfig(
-            k=_expect(obj.get("k", 3), int, where + "/k"),
-            sigma_h=_expect(obj.get("sigma_h", 0.25), float, where + "/sigma_h"),
-        )
-    if kind == "bias-reliability":
-        _reject_unknown(obj, {"kind", "k", "alpha", "beta", "sigma_max"}, where)
-        return BiasReliabilityConfig(
-            k=_expect(obj.get("k", 3), int, where + "/k"),
-            alpha=_expect(obj.get("alpha", 0.0), float, where + "/alpha"),
-            beta=_expect(obj.get("beta", 0.0), float, where + "/beta"),
-            sigma_max=_expect(obj.get("sigma_max", 0.25), float, where + "/sigma_max"),
-        )
-    raise SchemaError(f"{where}/kind: expected 'strategic' or 'bias-reliability', got {kind!r}")
+def _config(cls, obj, where: str, base=None, envelope=ENVELOPE):
+    """``from_doc`` on ``obj`` minus its document envelope keys."""
+    expect(obj, dict, where)
+    return from_doc(cls, {k: v for k, v in obj.items() if k not in envelope}, where, base)
 
 
 def parse_scenario_config(obj: dict, where: str = "") -> ScenarioConfig:
     """Parse a scenario object: optional preset plus field overrides."""
-    _expect(obj, dict, where or "/")
-    allowed = {"schema_version", "kind", "preset", "n", "m", "seed", "mixture", "social", "assessment"}
-    _reject_unknown(obj, allowed, where or "/")
-
-    preset = obj.get("preset", "default")
-    if preset == "default":
-        cfg = default_scenario()
-    elif preset == "strategic":
-        cfg = strategic_scenario()
-    else:
+    preset = expect(obj, dict, where).get("preset", "default")
+    if preset not in PRESETS:
         raise SchemaError(f"{where}/preset: expected 'default' or 'strategic', got {preset!r}")
-
-    if "n" in obj:
-        cfg = replace(cfg, n=_expect(obj["n"], int, where + "/n"))
-        if isinstance(cfg.social, ErConfig):
-            cfg = replace(cfg, social=replace(cfg.social, n=cfg.n))
-    if "m" in obj:
-        cfg = replace(cfg, m=_expect(obj["m"], int, where + "/m"))
-    if "seed" in obj:
-        cfg = replace(cfg, seed=_expect(obj["seed"], int, where + "/seed"))
-    if "mixture" in obj:
-        cfg = replace(cfg, mixture=parse_mixture(obj["mixture"], where + "/mixture", cfg.mixture))
-    if "social" in obj:
-        cfg = replace(cfg, social=parse_social(obj["social"], where + "/social", cfg.n))
-    if "assessment" in obj:
-        cfg = replace(cfg, assessment=parse_assessment(obj["assessment"], where + "/assessment"))
-    return cfg
+    return _config(ScenarioConfig, obj, where, PRESETS[preset](), (*ENVELOPE, "preset"))
 
 
 def load_scenario_config(path) -> ScenarioConfig:
     return parse_scenario_config(read_json_document(path, expected_kind="scenario-config"))
 
 
-def parse_train_config(obj: dict, where: str = "") -> TrainConfig:
-    _expect(obj, dict, where or "/")
-    allowed = {"schema_version", "kind", "layers", "dim", "epochs", "learning_rate",
-               "beta1", "beta2", "epsilon", "seed", "features"}
-    _reject_unknown(obj, allowed, where or "/")
-    base = TrainConfig()
-    return TrainConfig(
-        layers=_expect(obj.get("layers", base.layers), int, where + "/layers"),
-        dim=_expect(obj.get("dim", base.dim), int, where + "/dim"),
-        epochs=_expect(obj.get("epochs", base.epochs), int, where + "/epochs"),
-        learning_rate=_expect(obj.get("learning_rate", base.learning_rate), float, where + "/learning_rate"),
-        beta1=_expect(obj.get("beta1", base.beta1), float, where + "/beta1"),
-        beta2=_expect(obj.get("beta2", base.beta2), float, where + "/beta2"),
-        epsilon=_expect(obj.get("epsilon", base.epsilon), float, where + "/epsilon"),
-        seed=_expect(obj.get("seed", base.seed), int, where + "/seed"),
-        features=_expect(obj.get("features", base.features), str, where + "/features"),
-    )
-
-
 def load_train_config(path) -> TrainConfig:
-    return parse_train_config(read_json_document(path, expected_kind="train-config"))
-
-
-def parse_split_config(obj: dict, where: str = "") -> SplitConfig:
-    _expect(obj, dict, where or "/")
-    allowed = {"schema_version", "kind", "train_fraction", "n_splits", "seed"}
-    _reject_unknown(obj, allowed, where or "/")
-    base = SplitConfig()
-    return SplitConfig(
-        train_fraction=_expect(obj.get("train_fraction", base.train_fraction), float,
-                               where + "/train_fraction"),
-        n_splits=_expect(obj.get("n_splits", base.n_splits), int, where + "/n_splits"),
-        seed=_expect(obj.get("seed", base.seed), int, where + "/seed"),
-    )
+    return _config(TrainConfig, read_json_document(path, expected_kind="train-config"), "")
 
 
 def load_split_config(path) -> SplitConfig:
-    return parse_split_config(read_json_document(path, expected_kind="split-config"))
+    return _config(SplitConfig, read_json_document(path, expected_kind="split-config"), "")
 
 
-def parse_sweep_document(doc: dict) -> tuple[SweepSpec, list[str], SplitConfig, Optional[TrainConfig]]:
+def load_sweep_document(path) -> tuple[SweepSpec, list[str], SplitConfig, TrainConfig]:
+    doc = read_json_document(path, expected_kind="sweep-spec")
     allowed = {"schema_version", "kind", "param", "grid", "base", "methods", "split", "train"}
-    _reject_unknown(doc, allowed, "/")
-    param = _expect(doc.get("param"), str, "/param")
+    reject_unknown(doc, allowed, "/")
+    param = expect(doc.get("param"), str, "/param")
     grid = doc.get("grid")
-    if not isinstance(grid, list) or not grid:
-        raise SchemaError("/grid: expected a non-empty list")
-    base = parse_scenario_config(_expect(doc.get("base", {}), dict, "/base"), where="/base")
-    methods = doc.get("methods", ["gcn-soan", "average"])
-    if not isinstance(methods, list) or not all(isinstance(x, str) for x in methods):
-        raise SchemaError("/methods: expected a list of method names")
-    split_cfg = parse_split_config(_expect(doc.get("split", {}), dict, "/split"), where="/split")
-    train_cfg = parse_train_config(_expect(doc.get("train", {}), dict, "/train"), where="/train")
+    expect_list(grid, float, "/grid")  # checked only: the CSV echoes each value as given
+    base = parse_scenario_config(doc.get("base", {}), where="/base")
+    methods = expect_list(doc.get("methods", ["gcn-soan", "average"]), str, "/methods")
+    split_cfg = _config(SplitConfig, doc.get("split", {}), "/split")
+    train_cfg = _config(TrainConfig, doc.get("train", {}), "/train")
     spec = SweepSpec(param=param, grid=tuple(grid), base=base)
-    return spec, list(methods), split_cfg, train_cfg
-
-
-def load_sweep_document(path) -> tuple[SweepSpec, list[str], SplitConfig, Optional[TrainConfig]]:
-    return parse_sweep_document(read_json_document(path, expected_kind="sweep-spec"))
+    return spec, methods, split_cfg, train_cfg
 
 
 # --- results ------------------------------------------------------------------
@@ -377,14 +234,4 @@ def write_results(report: ExperimentReport, path) -> None:
 
 def read_results(path) -> ExperimentReport:
     doc = read_json_document(path, expected_kind="experiment-report")
-    allowed = {"schema_version", "kind", "config", "methods", "per_split", "mean", "std",
-               "wall_clock_seconds"}
-    _reject_unknown(doc, allowed, "/")
-    return ExperimentReport(
-        config=doc["config"],
-        methods=tuple(doc["methods"]),
-        per_split={k: list(v) for k, v in doc["per_split"].items()},
-        mean=dict(doc["mean"]),
-        std=dict(doc["std"]),
-        wall_clock_seconds=float(doc.get("wall_clock_seconds", 0.0)),
-    )
+    return _config(ExperimentReport, {"wall_clock_seconds": 0.0, **doc}, "")

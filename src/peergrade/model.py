@@ -21,8 +21,18 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import expit as sigmoid
 
-from .errors import TrainingDivergedError, ValidationError
+from .errors import SchemaError, TrainingDivergedError, ValidationError
 from .graph import Dataset, GroundTruth, PropagationMatrix, propagation_matrix
+from .schema import (
+    SCHEMA_VERSION,
+    canonical_json,
+    expect,
+    expect_list,
+    from_doc,
+    read_json_document,
+    reject_unknown,
+    to_doc,
+)
 
 FEATURE_KINDS = ("ones", "one-hot")
 
@@ -86,11 +96,8 @@ class ForwardCache:
     h: list[np.ndarray]        # H[0] .. H[K]
     z: list[np.ndarray]        # pre-activations Z[1] .. Z[K]
     propagated: list[np.ndarray]  # N @ H[l] for l = 0 .. K-1
-    logits: np.ndarray
     predictions: np.ndarray
-    params_token: int
-    n: int
-    m: int
+    params: ModelParams  # the parameters this pass ran with
 
 
 def initial_features(kind: str, prop: PropagationMatrix) -> np.ndarray:
@@ -156,8 +163,7 @@ def forward(
     logits = item_emb @ params.w_out + params.b_out
     preds = sigmoid(logits)
     cache = ForwardCache(
-        h=h, z=z, propagated=propagated, logits=logits, predictions=preds,
-        params_token=id(params), n=prop.n, m=prop.m,
+        h=h, z=z, propagated=propagated, predictions=preds, params=params
     )
     return preds, cache
 
@@ -184,23 +190,23 @@ def backward(
     train_ids: Sequence[int],
 ) -> ModelParams:
     """Exact gradients of the training loss w.r.t. every parameter."""
-    if cache.params_token != id(params) or len(cache.z) != params.layers:
+    if cache.params is not params:
         raise ValidationError("forward cache does not match these parameters")
     ids = np.asarray(train_ids, dtype=np.int64)
     if ids.size == 0:
         raise ValidationError("training set is empty")
 
     preds = cache.predictions
-    d_pred = np.zeros(cache.m)
+    d_pred = np.zeros(prop.m)
     d_pred[ids] = 2.0 * (preds[ids] - truth.v[ids]) / ids.size
     d_logit = d_pred * preds * (1.0 - preds)
 
-    item_emb = cache.h[-1][cache.n:]
+    item_emb = cache.h[-1][prop.n:]
     g_w_out = item_emb.T @ d_logit
     g_b_out = float(d_logit.sum())
 
     d_h = np.zeros_like(cache.h[-1])
-    d_h[cache.n:] = np.outer(d_logit, params.w_out)
+    d_h[prop.n:] = np.outer(d_logit, params.w_out)
 
     NT = prop.N.T.tocsr()
     g_W: list[np.ndarray] = [np.empty(0)] * params.layers
@@ -301,21 +307,12 @@ def predict(
 
 # --- checkpoint serialization ------------------------------------------------
 
-def train_config_dict(cfg: TrainConfig) -> dict:
-    return {
-        "layers": cfg.layers, "dim": cfg.dim, "epochs": cfg.epochs,
-        "learning_rate": cfg.learning_rate, "beta1": cfg.beta1,
-        "beta2": cfg.beta2, "epsilon": cfg.epsilon,
-        "seed": cfg.seed, "features": cfg.features,
-    }
-
-
 def checkpoint_document(params: ModelParams, cfg: TrainConfig) -> dict:
     """JSON-ready checkpoint: config echo plus row-major flattened weights."""
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "kind": "model-checkpoint",
-        "train_config": train_config_dict(cfg),
+        "train_config": to_doc(cfg),
         "d0": int(params.W[0].shape[0]),
         "weights": {
             "W": [w.reshape(-1).tolist() for w in params.W],
@@ -326,38 +323,30 @@ def checkpoint_document(params: ModelParams, cfg: TrainConfig) -> dict:
 
 
 def save_model(params: ModelParams, cfg: TrainConfig, path) -> None:
-    from .io import canonical_json  # local import to avoid a cycle
-
     Path(path).write_text(canonical_json(checkpoint_document(params, cfg)), encoding="utf-8")
 
 
 def load_model(path) -> tuple[ModelParams, TrainConfig]:
-    from .io import parse_train_config, read_json_document
-
     doc = read_json_document(path, expected_kind="model-checkpoint")
-    allowed = {"schema_version", "kind", "train_config", "d0", "weights"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValidationError(f"/: unknown key {sorted(unknown)[0]!r} in checkpoint")
-    cfg = parse_train_config(doc.get("train_config", {}), where="/train_config")
-    d0 = int(doc["d0"])
-    weights = doc["weights"]
-    shapes = [(d0, cfg.dim)] + [(cfg.dim, cfg.dim)] * (cfg.layers - 1)
-    flat = weights["W"]
-    if len(flat) != len(shapes):
-        raise ValidationError(
-            f"checkpoint has {len(flat)} weight matrices, config expects {len(shapes)}"
-        )
-    W = []
-    for values, shape in zip(flat, shapes):
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.size != shape[0] * shape[1]:
-            raise ValidationError(f"weight matrix of size {arr.size} does not fit shape {shape}")
-        W.append(arr.reshape(shape))
-    w_out = np.asarray(weights["w_out"], dtype=np.float64)
-    if w_out.shape != (cfg.dim,):
-        raise ValidationError(f"head weight length {w_out.shape[0]} does not match dim {cfg.dim}")
-    params = ModelParams(W=tuple(W), w_out=w_out, b_out=float(weights["b_out"]))
-    if not all(np.all(np.isfinite(w)) for w in _param_arrays(params)):
-        raise ValidationError("checkpoint contains non-finite weights")
+    reject_unknown(doc, {"schema_version", "kind", "train_config", "d0", "weights"}, "/")
+    cfg = from_doc(TrainConfig, doc.get("train_config"), "/train_config")
+    d0 = expect(doc.get("d0"), int, "/d0")
+    weights = expect(doc.get("weights"), dict, "/weights")
+    reject_unknown(weights, {"W", "w_out", "b_out"}, "/weights")
+
+    def array(values, shape, where):
+        arr = np.asarray(expect_list(values, float, where), dtype=np.float64)
+        if arr.size != np.prod(shape):
+            raise SchemaError(f"{where}: {arr.size} weights do not fit shape {shape}")
+        return arr.reshape(shape)
+
+    flat = expect(weights.get("W"), list, "/weights/W")
+    if len(flat) != cfg.layers:
+        raise SchemaError(f"/weights/W: {len(flat)} weight matrices, config expects {cfg.layers}")
+    params = ModelParams(
+        W=tuple(array(w, (d0 if layer == 0 else cfg.dim, cfg.dim), f"/weights/W/{layer}")
+                for layer, w in enumerate(flat)),
+        w_out=array(weights.get("w_out"), (cfg.dim,), "/weights/w_out"),
+        b_out=expect(weights.get("b_out"), float, "/weights/b_out"),
+    )
     return params, cfg

@@ -1,0 +1,134 @@
+"""Config documents: canonical JSON and one schema for every config dataclass.
+
+:func:`to_doc` and :func:`from_doc` read the schema off the dataclass itself
+(its fields and type hints), so each document is declared once.  Field
+types map to JSON as follows: ``int``/``float``/``str``/``dict`` as
+themselves, ``tuple[T, T]`` as a list of that length, ``tuple[T, ...]`` and
+``list[T]`` as lists, ``dict[str, T]`` as an object, a nested dataclass as an
+object, and a ``Union`` of dataclasses as an object tagged by each member's
+``KIND`` (``None`` is ``{"kind": "none"}``).  A wrong key or type is a
+:class:`SchemaError` naming the JSON pointer of the offending value; range
+checks stay in each dataclass's ``__post_init__``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import math
+import sys
+from pathlib import Path
+from typing import Optional, Union, get_args, get_origin, get_type_hints
+
+from .errors import SchemaError, ValidationError
+
+SCHEMA_VERSION = 1
+
+
+def canonical_json(obj) -> str:
+    """Sorted keys, compact separators, newline-terminated, no NaN/Inf."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def read_json_document(path, expected_kind: Optional[str] = None) -> dict:
+    p = Path(path)
+    if not p.exists():
+        raise ValidationError(f"missing required file {p}")
+
+    def finite(text):  # canonical JSON has no NaN or Infinity, and no overflowing literal
+        if not math.isfinite(value := float(text)):
+            raise SchemaError(f"{p}: {text} is not a finite number")
+        return value
+
+    try:
+        doc = json.loads(p.read_text(encoding="utf-8"), parse_float=finite, parse_constant=finite)
+    except ValueError as exc:  # JSONDecodeError, or an integer over Python's digit limit
+        raise SchemaError(f"{p}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{p}: top-level JSON value must be an object")
+    version = doc.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise SchemaError(f"{p}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    if expected_kind is not None and doc.get("kind", expected_kind) != expected_kind:
+        raise SchemaError(f"{p}: expected a {expected_kind!r} document, got {doc.get('kind')!r}")
+    return doc
+
+
+def reject_unknown(obj: dict, allowed, where: str) -> None:
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise SchemaError(f"{where or '/'}: unknown key {unknown[0]!r}")
+
+
+def expect(obj, typ, where: str):
+    """``obj`` checked as ``typ`` (bools are never numbers; ints pass as floats)."""
+    if typ is float and isinstance(obj, int) and not isinstance(obj, bool) \
+            and abs(obj) <= sys.float_info.max:
+        return float(obj)
+    if not isinstance(obj, typ) or isinstance(obj, bool):
+        raise SchemaError(f"{where or '/'}: expected {typ.__name__}, got {type(obj).__name__}")
+    return obj
+
+
+def expect_list(obj, typ, where: str) -> list:
+    """``obj`` checked as a list of ``typ`` entries, each converted as by :func:`expect`."""
+    return [expect(x, typ, f"{where}/{i}") for i, x in enumerate(expect(obj, list, where))]
+
+
+def to_doc(cfg) -> dict:
+    """JSON-ready object of a config dataclass, one key per field."""
+    return {f.name: _value_doc(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}
+
+
+def _value_doc(value):
+    if value is None:
+        return {"kind": "none"}
+    if dataclasses.is_dataclass(value):
+        kind = getattr(value, "KIND", None)
+        return {"kind": kind, **to_doc(value)} if kind else to_doc(value)
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
+def from_doc(cls, obj, where: str = "", base=None):
+    """Build ``cls`` from a JSON object; absent keys keep ``base``'s values or the defaults."""
+    expect(obj, dict, where)
+    fields = dataclasses.fields(cls)
+    reject_unknown(obj, [f.name for f in fields], where)
+    for f in fields:
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if required and base is None and f.name not in obj:
+            raise SchemaError(f"{where}/{f.name}: missing required key")
+    hints = get_type_hints(cls)
+    values = {f.name: _read(hints[f.name], obj[f.name], f"{where}/{f.name}",
+                            getattr(base, f.name, None))
+              for f in fields if f.name in obj}
+    return dataclasses.replace(base, **values) if base is not None else cls(**values)
+
+
+def _read(typ, obj, where: str, base):
+    origin, args = get_origin(typ), get_args(typ)
+    if origin is Union:
+        members = {getattr(m, "KIND", "none"): m for m in args}  # NoneType has no KIND
+        kind = expect(obj, dict, where).get("kind")
+        if kind not in members:
+            expected = ", ".join(map(repr, members))
+            raise SchemaError(f"{where}/kind: expected one of {expected}, got {kind!r}")
+        body = {k: v for k, v in obj.items() if k != "kind"}
+        if kind == "none":
+            reject_unknown(body, (), where)
+            return None
+        return from_doc(members[kind], body, where)
+    if origin is tuple and args[-1] is not Ellipsis:
+        if not isinstance(obj, list) or len(obj) != len(args):
+            raise SchemaError(f"{where}: expected a {len(args)}-element list")
+        return tuple(_read(t, x, f"{where}/{i}", None) for i, (t, x) in enumerate(zip(args, obj)))
+    if origin in (tuple, list):  # variable length: tuple[T, ...] or list[T]
+        return origin(_read(args[0], x, f"{where}/{i}", None)
+                      for i, x in enumerate(expect(obj, list, where)))
+    if origin is dict:
+        return {k: _read(args[1], v, f"{where}/{k}", None) for k, v in expect(obj, dict, where).items()}
+    if dataclasses.is_dataclass(typ):
+        return from_doc(typ, obj, where, base)
+    return expect(obj, typ, where)

@@ -10,7 +10,7 @@ not perturb the assessment draws.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,12 +42,10 @@ class MixtureConfig:
 class ErConfig:
     """Erdos-Renyi social network: each user pair connected with probability p."""
 
-    n: int
-    p: float
+    KIND: ClassVar[str] = "er"
+    p: float = 0.05
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("ErConfig.n must be >= 1")
         if not 0.0 <= self.p <= 1.0:
             raise ValidationError(f"connection probability {self.p} must lie in [0, 1]")
 
@@ -56,7 +54,8 @@ class ErConfig:
 class HomophilyConfig:
     """Connect two users iff their owned items' true values differ by <= tau."""
 
-    tau: float
+    KIND: ClassVar[str] = "homophily"
+    tau: float = 0.1
 
     def __post_init__(self):
         if not 0.0 <= self.tau <= 1.0:
@@ -67,6 +66,7 @@ class HomophilyConfig:
 class StrategicConfig:
     """Friends of an item's owner grade 1.0; strangers grade Normal(v_i, sigma_h)."""
 
+    KIND: ClassVar[str] = "strategic"
     k: int = 3
     sigma_h: float = 0.25
 
@@ -85,6 +85,7 @@ class BiasReliabilityConfig:
     grader's noise level to the true value of their own item.
     """
 
+    KIND: ClassVar[str] = "bias-reliability"
     k: int = 3
     alpha: float = 0.0
     beta: float = 0.0
@@ -128,7 +129,7 @@ def strategic_scenario(seed: int = 0, n: int = 500, m: int = 500, p: float = 0.0
     """Strategic grading over an Erdos-Renyi social network (p=0.05, sigma_h=0.25)."""
     return ScenarioConfig(
         n=n, m=m, seed=seed,
-        social=ErConfig(n=n, p=p),
+        social=ErConfig(p=p),
         assessment=StrategicConfig(k=3, sigma_h=0.25),
     )
 
@@ -152,14 +153,14 @@ def gen_ownership_one_to_one(n: int, m: int, rng: np.random.Generator) -> sp.csr
     return sp.csr_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, m))
 
 
-def gen_social_er(cfg: ErConfig, rng: np.random.Generator) -> sp.csr_matrix:
-    """Symmetric 0/1 adjacency with zero diagonal; pairs drawn independently."""
-    iu, ju = np.triu_indices(cfg.n, k=1)
+def gen_social_er(n: int, cfg: ErConfig, rng: np.random.Generator) -> sp.csr_matrix:
+    """Symmetric 0/1 adjacency over n users, zero diagonal; pairs drawn independently."""
+    iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.shape[0]) < cfg.p
     r, c = iu[keep], ju[keep]
     rows = np.concatenate([r, c])
     cols = np.concatenate([c, r])
-    return sp.csr_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(cfg.n, cfg.n))
+    return sp.csr_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(n, n))
 
 
 def _owner_maps(O: sp.spmatrix, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,9 +283,7 @@ def build_scenario(cfg: ScenarioConfig) -> Dataset:
     if cfg.social is None:
         S = sp.csr_matrix((cfg.n, cfg.n))
     elif isinstance(cfg.social, ErConfig):
-        if cfg.social.n != cfg.n:
-            raise ValidationError(f"ErConfig.n={cfg.social.n} disagrees with scenario n={cfg.n}")
-        S = gen_social_er(cfg.social, rng_social)
+        S = gen_social_er(cfg.n, cfg.social, rng_social)
     elif isinstance(cfg.social, HomophilyConfig):
         S = gen_social_homophily(truth, O, cfg.social)
     else:

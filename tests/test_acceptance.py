@@ -20,7 +20,6 @@ from peergrade import (
     build_scenario,
     datasets_equal,
     default_scenario,
-    init_params,
     initial_features,
     load_dataset,
     monte_carlo_splits,
@@ -40,7 +39,7 @@ from test_model import (
     numerical_gradients,
     random_instance,
 )
-from peergrade.model import backward, forward
+from peergrade.model import backward, forward, init_params
 
 SPLIT = SplitConfig(train_fraction=0.1, n_splits=4, seed=0)
 TRAIN = TrainConfig(seed=0)

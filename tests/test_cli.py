@@ -231,3 +231,61 @@ class TestExitCodes:
                          "--train-config", str(train_file),
                          "--out", "/proc/definitely/not/writable.json"])
         assert code == 4
+
+
+class TestMalformedDocuments:
+    @pytest.fixture()
+    def model_file(self, tmp_path, bundle_dir, train_file, capsys):
+        model = tmp_path / "model.json"
+        assert dispatch(["train", "--data", str(bundle_dir),
+                         "--train-config", str(train_file), "--out", str(model)]) == 0
+        capsys.readouterr()
+        return model
+
+    @pytest.mark.parametrize("edit, pointer", [
+        (lambda doc: doc.pop("d0"), "/d0"),
+        (lambda doc: doc["weights"].update(W=5), "/weights/W"),
+        (lambda doc: doc["weights"]["W"][0].__setitem__(0, "x"), "/weights/W/0/0"),
+        (lambda doc: doc["weights"].pop("b_out"), "/weights/b_out"),
+    ])
+    def test_malformed_checkpoint_is_validation_error(
+            self, model_file, bundle_dir, split_file, capsys, edit, pointer):
+        doc = json.loads(model_file.read_text())
+        edit(doc)
+        model_file.write_text(json.dumps(doc))
+        code = dispatch(["eval", "--data", str(bundle_dir), "--model", str(model_file),
+                         "--split", str(split_file)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{pointer}: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", ["x", True, None, [1]])
+    def test_non_numeric_sweep_grid_entry_is_validation_error(self, tmp_path, capsys, entry):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "schema_version": 1, "param": "k", "grid": [1, entry],
+            "base": {"preset": "default", "n": 25, "m": 25, "seed": 0},
+            "methods": ["average"],
+        }))
+        code = dispatch(["sweep", "--spec", str(spec), "--out", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "/grid/1: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e400"])
+    def test_non_finite_number_in_a_document_is_validation_error(self, tmp_path, capsys, number):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"schema_version": 1, "param": "k", "grid": [1, %s]}' % number)
+        code = dispatch(["sweep", "--spec", str(spec), "--out", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{number} is not a finite number" in err and "Traceback" not in err
+
+    def test_overflowing_train_config_is_validation_error(self, tmp_path, bundle_dir, capsys):
+        cfg = tmp_path / "train.json"
+        cfg.write_text('{"schema_version": 1, "epochs": 3, "epsilon": 1%s}' % ("0" * 400))
+        code = dispatch(["train", "--data", str(bundle_dir), "--train-config", str(cfg),
+                         "--out", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "/epsilon: " in err and "Traceback" not in err

@@ -95,6 +95,12 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match=":2"):
             load_dataset(tmp_path)
 
+    def test_manifest_id_list_type_checked(self, tmp_path):
+        write_bundle(tmp_path, [("u1", "i1", 0.8)], [("i1", 0.5)])
+        (tmp_path / "manifest.json").write_text(json.dumps({"schema_version": 1, "user_ids": 5}))
+        with pytest.raises(SchemaError, match="^/user_ids: "):
+            load_dataset(tmp_path)
+
     def test_group_ownership_and_self_grades(self, tmp_path):
         # multiple ownership rows per item and a grader who owns the item
         write_bundle(
@@ -229,4 +235,20 @@ class TestResults:
         doc["extra"] = True
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="extra"):
+            read_results(path)
+
+    @pytest.mark.parametrize("edit, pointer", [
+        (lambda doc: doc.pop("mean"), "/mean"),
+        (lambda doc: doc["per_split"].update(average=[0.1, "x"]), "/per_split/average/1"),
+        (lambda doc: doc.update(methods="average"), "/methods"),
+    ])
+    def test_malformed_results_name_their_pointer(self, tmp_path, edit, pointer):
+        report = run_experiment(default_scenario(seed=0, n=30, m=30), ["average"],
+                                SplitConfig(train_fraction=0.2, n_splits=2, seed=0))
+        path = tmp_path / "results.json"
+        write_results(report, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"^{pointer}: "):
             read_results(path)

@@ -13,24 +13,19 @@ from peergrade import (
     TrainConfig,
     TrainingDivergedError,
     ValidationError,
-    adam_step,
-    backward,
     build_graph,
     build_scenario,
     default_scenario,
-    forward,
-    init_adam_state,
-    init_params,
     initial_features,
     load_model,
     monte_carlo_splits,
-    mse_loss,
     predict,
     propagation_matrix,
     save_model,
     train,
 )
 from peergrade.harness import SplitConfig
+from peergrade.model import adam_step, backward, forward, init_adam_state, init_params, mse_loss
 
 from conftest import random_graph
 

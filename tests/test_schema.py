@@ -1,0 +1,103 @@
+"""The dataclass-driven config schema: to_doc/from_doc round trips and pointers."""
+
+import json
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from peergrade import (
+    BiasReliabilityConfig,
+    ErConfig,
+    HomophilyConfig,
+    MixtureConfig,
+    ScenarioConfig,
+    SchemaError,
+    SplitConfig,
+    StrategicConfig,
+    TrainConfig,
+    strategic_scenario,
+)
+from peergrade.model import FEATURE_KINDS
+from peergrade.schema import canonical_json, from_doc, to_doc
+
+unit = st.floats(0.0, 1.0)
+nonneg = st.floats(0.0, 10.0)
+seeds = st.integers(0, 2**63 - 1)
+counts = st.integers(1, 10_000)
+
+mixtures = st.builds(
+    MixtureConfig,
+    pi=unit.map(lambda p: (p, 1.0 - p)),
+    mu=st.tuples(unit, unit),
+    sigma=st.tuples(nonneg, nonneg),
+)
+socials = st.one_of(
+    st.none(),
+    st.builds(ErConfig, p=unit),
+    st.builds(HomophilyConfig, tau=unit),
+)
+assessments = st.one_of(
+    st.builds(StrategicConfig, k=counts, sigma_h=nonneg),
+    st.builds(BiasReliabilityConfig, k=counts, alpha=st.floats(-1.0, 1.0),
+              beta=st.floats(-10.0, 10.0), sigma_max=nonneg),
+)
+scenarios = st.builds(ScenarioConfig, n=counts, m=counts, seed=seeds, mixture=mixtures,
+                      social=socials, assessment=assessments)
+trains = st.builds(
+    TrainConfig, layers=st.integers(1, 8), dim=counts, epochs=counts,
+    learning_rate=st.floats(0.0, 1.0, exclude_min=True), beta1=unit, beta2=unit,
+    epsilon=nonneg, seed=seeds, features=st.sampled_from(FEATURE_KINDS),
+)
+splits = st.builds(SplitConfig, train_fraction=st.floats(0.0, 1.0, exclude_min=True,
+                                                         exclude_max=True),
+                   n_splits=counts, seed=seeds)
+
+
+@given(st.one_of(scenarios, mixtures, trains, splits))
+def test_round_trip_through_canonical_json(cfg):
+    doc = json.loads(canonical_json(to_doc(cfg)))
+    assert from_doc(type(cfg), doc) == cfg
+
+
+def test_unknown_union_kind_names_its_pointer():
+    with pytest.raises(SchemaError, match="^/social/kind: "):
+        from_doc(ScenarioConfig, {"social": {"kind": "small-world"}})
+
+
+def test_document_layout():
+    assert to_doc(strategic_scenario(seed=4, n=7, m=7)) == {
+        "n": 7, "m": 7, "seed": 4,
+        "mixture": {"pi": [0.2, 0.8], "mu": [0.3, 0.7], "sigma": [0.1, 0.1]},
+        "social": {"kind": "er", "p": 0.05},
+        "assessment": {"kind": "strategic", "k": 3, "sigma_h": 0.25},
+    }
+    assert to_doc(ScenarioConfig())["social"] == {"kind": "none"}
+
+
+def test_nested_object_merges_onto_base():
+    base = strategic_scenario(seed=3)
+    cfg = from_doc(ScenarioConfig, {"mixture": {"pi": [0.5, 0.5]}}, base=base)
+    assert cfg.mixture == MixtureConfig(pi=(0.5, 0.5))
+    assert (cfg.seed, cfg.social, cfg.assessment) == (3, base.social, base.assessment)
+
+
+def test_union_member_starts_from_its_own_defaults():
+    base = ScenarioConfig(social=HomophilyConfig(tau=0.3))
+    cfg = from_doc(ScenarioConfig, {"social": {"kind": "homophily"},
+                                    "assessment": {"kind": "strategic"}}, base=base)
+    assert cfg.social == HomophilyConfig()
+    assert cfg.assessment == StrategicConfig()
+
+
+@pytest.mark.parametrize("doc, pointer", [
+    ({"mixture": {"mu": [0.5]}}, "/mixture/mu"),
+    ({"mixture": {"sigma": [0.1, "wide"]}}, "/mixture/sigma/1"),
+    ({"n": True}, "/n"),
+    ({"assessment": {"kind": "strategic", "alpha": 0.1}}, "/assessment"),
+    ({"social": {"kind": "none", "p": 0.1}}, "/social"),
+    ({"social": "er"}, "/social"),
+])
+def test_faults_name_their_pointer(doc, pointer):
+    with pytest.raises(SchemaError, match=f"^{pointer}: "):
+        from_doc(ScenarioConfig, doc)

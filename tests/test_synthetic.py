@@ -81,22 +81,22 @@ class TestOwnership:
 
 class TestSocialEr:
     def test_p_zero_empty(self):
-        assert gen_social_er(ErConfig(n=10, p=0.0), np.random.default_rng(0)).nnz == 0
+        assert gen_social_er(10, ErConfig(p=0.0), np.random.default_rng(0)).nnz == 0
 
     def test_p_one_complete(self):
-        S = gen_social_er(ErConfig(n=10, p=1.0), np.random.default_rng(0))
+        S = gen_social_er(10, ErConfig(p=1.0), np.random.default_rng(0))
         assert S.nnz == 10 * 9  # both directions stored
         assert np.count_nonzero(S.diagonal()) == 0
 
     def test_edge_count_within_binomial_band(self):
         n, p = 500, 0.05
-        S = gen_social_er(ErConfig(n=n, p=p), np.random.default_rng(4))
+        S = gen_social_er(n, ErConfig(p=p), np.random.default_rng(4))
         pairs = n * (n - 1) / 2
         mean, sd = p * pairs, np.sqrt(pairs * p * (1 - p))
         assert abs(S.nnz / 2 - mean) <= 4 * sd
 
     def test_symmetry(self):
-        S = gen_social_er(ErConfig(n=50, p=0.2), np.random.default_rng(5))
+        S = gen_social_er(50, ErConfig(p=0.2), np.random.default_rng(5))
         assert (S != S.T).nnz == 0
 
 
@@ -147,7 +147,7 @@ class TestStrategicAssessments:
         rng = np.random.default_rng(6)
         gt = GroundTruth.full(np.linspace(0.1, 0.9, n))
         O = gen_ownership_one_to_one(n, n, rng)
-        S = gen_social_er(ErConfig(n=n, p=1.0), rng)
+        S = gen_social_er(n, ErConfig(p=1.0), rng)
         A = gen_assess_strategic(gt, O, S, StrategicConfig(k=3, sigma_h=0.25), rng)
         np.testing.assert_array_equal(A.tocoo().data, 1.0)
 
