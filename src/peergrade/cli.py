@@ -23,10 +23,11 @@ from .graph import Split, propagation_matrix
 from .harness import (
     METHOD_AVERAGE,
     METHOD_MEDIAN,
-    monte_carlo_splits,
+    labelled_splits,
     rmse,
     run_experiment,
     run_sweep,
+    split_summary,
 )
 from .model import initial_features, load_model, predict, save_model, train
 from .schema import to_doc
@@ -115,20 +116,20 @@ def _cmd_eval(args) -> int:
     dataset = pio.load_dataset(args.data)
     params, cfg = load_model(args.model)
     split_cfg = pio.load_split_config(args.split)
-    splits = monte_carlo_splits(dataset.graph.m, split_cfg)
     prop = propagation_matrix(dataset.graph)
     h0 = initial_features(cfg.features, prop)
-    scores = []
-    for split in splits:
-        preds = predict(params, prop, h0, split.test)
-        scores.append(rmse(preds, dataset.truth, split.test))
+    scores = [
+        rmse(predict(params, prop, h0, split.test), dataset.truth, split.test)
+        for split in labelled_splits(dataset.truth, split_cfg)
+    ]
+    mean, std = split_summary(scores)
     _emit(pio.canonical_json({
         "method": "gcn-soan",
         "model": str(args.model),
         "split": to_doc(split_cfg),
         "per_split": scores,
-        "mean": float(np.mean(scores)),
-        "std": float(np.std(scores, ddof=1)) if len(scores) > 1 else 0.0,
+        "mean": mean,
+        "std": std,
     }))
     return EXIT_OK
 

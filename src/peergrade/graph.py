@@ -43,11 +43,6 @@ class SoanGraph:
     user_ids: tuple[str, ...]
     item_ids: tuple[str, ...]
 
-    def assessment_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stored assessment triples as (user_idx, item_idx, grade) arrays."""
-        coo = self.A.tocoo()
-        return coo.row, coo.col, coo.data
-
 
 @dataclass(frozen=True)
 class PropagationMatrix:

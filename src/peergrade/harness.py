@@ -66,6 +66,21 @@ def monte_carlo_splits(item_count: int, cfg: SplitConfig) -> list[Split]:
     return splits
 
 
+def labelled_splits(truth: GroundTruth, cfg: SplitConfig) -> list[Split]:
+    """:func:`monte_carlo_splits` over the items with known ground truth only."""
+    labelled = np.flatnonzero(truth.mask)
+    return [
+        Split(train=labelled[list(s.train)], test=labelled[list(s.test)])
+        for s in monte_carlo_splits(labelled.shape[0], cfg)
+    ]
+
+
+def split_summary(scores: Sequence[float]) -> tuple[float, float]:
+    """Mean and sample std (ddof=1, zero for a single split) of per-split scores."""
+    std = float(np.std(scores, ddof=1)) if len(scores) > 1 else 0.0
+    return float(np.mean(scores)), std
+
+
 def rmse(predictions: np.ndarray, truth: GroundTruth, ids: Sequence[int]) -> float:
     """Root mean square error; ``predictions[j]`` corresponds to ``ids[j]``."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -114,9 +129,8 @@ def run_experiment(
 
     The graph convolution model is retrained per split (init seed =
     ``train_cfg.seed + split index``); baselines read only the assessment
-    matrix.  Reported means are plain arithmetic means of the per-split
-    values; std is the sample standard deviation (ddof=1, zero for a single
-    split).
+    matrix.  Splits are drawn over the labelled items only; means and stds
+    come from :func:`split_summary`.
     """
     methods = tuple(methods)
     for name in methods:
@@ -138,7 +152,7 @@ def run_experiment(
     config_echo["train"] = to_doc(train_cfg) if train_cfg is not None else None
     config_echo["methods"] = list(methods)
 
-    splits = monte_carlo_splits(dataset.graph.m, split_cfg)
+    splits = labelled_splits(dataset.truth, split_cfg)
     prop = propagation_matrix(dataset.graph)
     per_split: dict[str, list[float]] = {name: [] for name in methods}
 
@@ -157,11 +171,9 @@ def run_experiment(
             preds = baselines.median_predict(dataset.graph, test_ids)
             per_split[METHOD_MEDIAN].append(rmse(preds, dataset.truth, test_ids))
 
-    mean = {name: float(np.mean(vals)) for name, vals in per_split.items()}
-    std = {
-        name: float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-        for name, vals in per_split.items()
-    }
+    mean, std = {}, {}
+    for name, vals in per_split.items():
+        mean[name], std[name] = split_summary(vals)
     return ExperimentReport(
         config=config_echo, methods=methods, per_split=per_split,
         mean=mean, std=std, wall_clock_seconds=time.perf_counter() - started,

@@ -5,6 +5,11 @@ derives one independent RNG substream per generator from a single master
 seed, in a fixed order (truth, ownership, social, assessments), so the same
 seed always yields the same dataset and changing e.g. the social model does
 not perturb the assessment draws.
+
+Homophily and both assessment generators work in O(n + m + edges) memory:
+no (n, n) or (n, m) array is built.  ``gen_social_er`` still enumerates all
+n(n-1)/2 user pairs, and the grader draw still makes one ``rng.choice`` call
+per item; replacing either would change the random stream.
 """
 
 from __future__ import annotations
@@ -157,7 +162,11 @@ def gen_social_er(n: int, cfg: ErConfig, rng: np.random.Generator) -> sp.csr_mat
     """Symmetric 0/1 adjacency over n users, zero diagonal; pairs drawn independently."""
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.shape[0]) < cfg.p
-    r, c = iu[keep], ju[keep]
+    return _undirected(iu[keep], ju[keep], n)
+
+
+def _undirected(r: np.ndarray, c: np.ndarray, n: int) -> sp.csr_matrix:
+    """Symmetric 0/1 (n, n) adjacency storing each pair (r[e], c[e]) both ways."""
     rows = np.concatenate([r, c])
     cols = np.concatenate([c, r])
     return sp.csr_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(n, n))
@@ -183,22 +192,28 @@ def gen_social_homophily(truth: GroundTruth, O: sp.spmatrix, cfg: HomophilyConfi
     item_of, _ = _owner_maps(O, n, O.shape[1])
     if not np.all(truth.mask[item_of]):
         raise ValidationError("homophily generation requires known values for all owned items")
-    own_vals = truth.v[item_of]
-    close = np.abs(own_vals[:, None] - own_vals[None, :]) <= cfg.tau
-    np.fill_diagonal(close, False)
-    rows, cols = np.nonzero(close)
-    return sp.csr_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(n, n))
+    # Imported here: loading scipy.spatial adds ~10 MB of RSS to every process.
+    from scipy.spatial import cKDTree
+
+    # 1-d ball query: exactly the pairs with |a - b| <= tau, in O(n log n + edges).
+    tree = cKDTree(truth.v[item_of][:, None])
+    pairs = tree.query_pairs(cfg.tau, p=np.inf, output_type="ndarray")
+    return _undirected(pairs[:, 0], pairs[:, 1], n)
 
 
-def _grader_sets(m: int, n: int, k: int, owner_of: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
-    """Per item, a uniform random set of k distinct users excluding the owner."""
+def _grader_sets(m: int, n: int, k: int, owner_of: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """(m, k) users: per item, a uniform random set of k distinct users excluding the owner."""
     if k > n - 1:
         raise ValidationError(f"k={k} graders requested but only {n - 1} non-owners exist")
-    sets = []
-    for i in range(m):
-        picks = rng.choice(n - 1, size=k, replace=False)
-        sets.append(picks + (picks >= owner_of[i]))  # skip over the owner index
-    return sets
+    picks = np.array([rng.choice(n - 1, size=k, replace=False) for _ in range(m)])
+    return picks + (picks >= owner_of[:, None])  # skip over the owner index
+
+
+def _assessments(graders: np.ndarray, grades: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
+    """Assessment matrix: user ``graders[i, j]`` gives item i the grade ``grades.flat[i * k + j]``."""
+    m, k = graders.shape
+    items = np.repeat(np.arange(m), k)
+    return sp.csr_matrix((grades.ravel(), (graders.ravel(), items)), shape=shape)
 
 
 def gen_assess_strategic(
@@ -211,28 +226,13 @@ def gen_assess_strategic(
     """Friends of the owner award 1.0; everyone else grades Normal(v_i, sigma_h)."""
     n, m = O.shape
     _, owner_of = _owner_maps(O, n, m)
-    S_dense = np.asarray(S.todense())
-    O_dense = np.asarray(O.todense())
     graders = _grader_sets(m, n, cfg.k, owner_of, rng)
-
-    rows, cols, vals = [], [], []
-    for i in range(m):
-        owner = owner_of[i]
-        users = graders[i]
-        friend = S_dense[users, owner] * O_dense[owner, i] == 1.0
-        grades = np.empty(cfg.k)
-        grades[friend] = 1.0
-        honest = ~friend
-        if honest.any():
-            grades[honest] = np.clip(
-                rng.normal(truth.v[i], cfg.sigma_h, size=int(honest.sum())), 0.0, 1.0
-            )
-        rows.extend(users)
-        cols.extend([i] * cfg.k)
-        vals.extend(grades)
-    return sp.csr_matrix(
-        sp.coo_matrix((vals, (rows, cols)), shape=(n, m))
-    )
+    items = np.repeat(np.arange(m), cfg.k)
+    owners = owner_of[items]
+    friend = sp.csr_array(S)[graders.ravel(), owners] * sp.csr_array(O)[owners, items] == 1.0
+    grades = np.ones(items.shape[0])
+    grades[~friend] = np.clip(rng.normal(truth.v[items[~friend]], cfg.sigma_h), 0.0, 1.0)
+    return _assessments(graders, grades, (n, m))
 
 
 def gen_assess_bias_reliability(
@@ -252,19 +252,9 @@ def gen_assess_bias_reliability(
             f"beta={cfg.beta} gives a negative grading standard deviation for some grader"
         )
     graders = _grader_sets(m, n, cfg.k, owner_of, rng)
-
-    rows, cols, vals = [], [], []
-    for i in range(m):
-        users = graders[i]
-        grades = np.clip(
-            rng.normal(truth.v[i] + cfg.alpha, sigma_of_user[users]), 0.0, 1.0
-        )
-        rows.extend(users)
-        cols.extend([i] * cfg.k)
-        vals.extend(grades)
-    return sp.csr_matrix(
-        sp.coo_matrix((vals, (rows, cols)), shape=(n, m))
-    )
+    # One draw per (item, grader) in item order, as m per-item calls would draw.
+    grades = rng.normal((truth.v + cfg.alpha)[:, None], sigma_of_user[graders])
+    return _assessments(graders, np.clip(grades, 0.0, 1.0), (n, m))
 
 
 def _node_ids(prefix: str, count: int) -> tuple[str, ...]:

@@ -6,7 +6,8 @@ import pytest
 
 from peergrade import build_scenario, datasets_equal, load_dataset
 from peergrade.cli import dispatch
-from peergrade.io import load_scenario_config
+from peergrade.harness import labelled_splits
+from peergrade.io import load_scenario_config, load_split_config
 
 
 @pytest.fixture()
@@ -215,6 +216,40 @@ class TestImportCommand:
         dispatch(["import", "--from", str(src), "--out", str(tmp_path / "y")])
         after = {p.name: p.read_bytes() for p in src.iterdir()}
         assert before == after
+
+
+class TestPartiallyLabelled:
+    @pytest.fixture()
+    def partial_bundle(self, tmp_path, split_file):
+        scenario = tmp_path / "scenario500.json"
+        scenario.write_text(json.dumps({"schema_version": 1, "preset": "default", "seed": 3}))
+        out = tmp_path / "bundle500"
+        assert dispatch(["generate", "--config", str(scenario), "--out", str(out)]) == 0
+        truth = out / "truth.csv"
+        truth.write_text("\n".join(truth.read_text().splitlines()[:400]) + "\n")
+        return out
+
+    def test_splits_draw_labelled_items_only(self, partial_bundle, split_file):
+        dataset = load_dataset(partial_bundle)
+        assert (dataset.graph.m, int(dataset.truth.mask.sum())) == (500, 399)
+        split_cfg = load_split_config(split_file)
+        for split in labelled_splits(dataset.truth, split_cfg):
+            assert dataset.truth.mask[list(split.train + split.test)].all()
+            assert len(split.train + split.test) == 399
+
+    def test_baseline_and_eval_score_partial_truth(self, tmp_path, partial_bundle,
+                                                   split_file, train_file, capsys):
+        assert dispatch(["baseline", "--method", "average", "--data", str(partial_bundle),
+                         "--split", str(split_file)]) == 0
+        model = tmp_path / "model.json"
+        assert dispatch(["train", "--data", str(partial_bundle),
+                         "--train-config", str(train_file), "--out", str(model)]) == 0
+        assert dispatch(["eval", "--data", str(partial_bundle), "--model", str(model),
+                         "--split", str(split_file)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(json.loads(lines[0])["per_split"]["average"]) == 2
+        assert json.loads(lines[1])["train_items"] == 399
+        assert len(json.loads(lines[2])["per_split"]) == 2
 
 
 class TestExitCodes:

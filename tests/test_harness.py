@@ -18,6 +18,7 @@ from peergrade import (
     run_experiment,
     run_sweep,
 )
+from peergrade.harness import labelled_splits, split_summary
 
 FAST_TRAIN = TrainConfig(epochs=60, dim=16, seed=0)
 
@@ -46,6 +47,32 @@ class TestMonteCarloSplits:
             monte_carlo_splits(5, SplitConfig(train_fraction=0.01, n_splits=1, seed=0))
         with pytest.raises(ValidationError):
             monte_carlo_splits(5, SplitConfig(train_fraction=0.99, n_splits=1, seed=0))
+
+
+class TestLabelledSplits:
+    def test_fully_labelled_equals_monte_carlo_splits(self):
+        cfg = SplitConfig(train_fraction=0.2, n_splits=3, seed=4)
+        truth = GroundTruth.full(np.linspace(0.0, 1.0, 40))
+        assert labelled_splits(truth, cfg) == monte_carlo_splits(40, cfg)
+
+    def test_only_labelled_items_drawn(self):
+        mask = np.arange(50) % 3 != 0
+        truth = GroundTruth(np.where(mask, 0.5, np.nan), mask)
+        for split in labelled_splits(truth, SplitConfig(train_fraction=0.2, n_splits=4, seed=1)):
+            assert sorted(split.train + split.test) == np.flatnonzero(mask).tolist()
+
+    def test_no_labels_rejected(self):
+        truth = GroundTruth(np.zeros(10), np.zeros(10, dtype=bool))
+        with pytest.raises(ValidationError):
+            labelled_splits(truth, SplitConfig())
+
+
+class TestSplitSummary:
+    def test_sample_std(self):
+        assert split_summary([1.0, 2.0, 3.0]) == (2.0, 1.0)
+
+    def test_single_split_has_zero_std(self):
+        assert split_summary([0.25]) == (0.25, 0.0)
 
 
 class TestRmse:

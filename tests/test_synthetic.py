@@ -1,5 +1,8 @@
 """Synthetic generators: distributions, structure, determinism."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -288,3 +291,160 @@ class TestScenarios:
         cfg = ScenarioConfig(n=50, m=50, seed=7, social=HomophilyConfig(tau=0.01))
         ds = build_scenario(cfg)
         assert (ds.graph.S != ds.graph.S.T).nnz == 0
+
+
+def dense_homophily(values, tau):
+    """Reference homophily adjacency from the dense (n, n) pairwise comparison."""
+    close = np.abs(values[:, None] - values[None, :]) <= tau
+    np.fill_diagonal(close, False)
+    rows, cols = np.nonzero(close)
+    return sp.csr_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=close.shape)
+
+
+def loop_assessments(truth, O, S, cfg, rng):
+    """Reference: dense lookups and one draw call per item, grader sets drawn first."""
+    n, m = O.shape
+    O_dense = O.toarray()
+    owner_of, item_of = O_dense.argmax(axis=0), O_dense.argmax(axis=1)
+    graders = []
+    for i in range(m):
+        picks = rng.choice(n - 1, size=cfg.k, replace=False)
+        graders.append(picks + (picks >= owner_of[i]))
+    rows, cols, vals = [], [], []
+    for i, users in enumerate(graders):
+        if isinstance(cfg, StrategicConfig):
+            owner = owner_of[i]
+            friend = S.toarray()[users, owner] * O_dense[owner, i] == 1.0
+            grades = np.ones(cfg.k)
+            if (~friend).any():
+                grades[~friend] = np.clip(
+                    rng.normal(truth.v[i], cfg.sigma_h, size=int((~friend).sum())), 0.0, 1.0)
+        else:
+            sigma = cfg.sigma_max * (1.0 - cfg.beta * truth.v[item_of[users]])
+            grades = np.clip(rng.normal(truth.v[i] + cfg.alpha, sigma), 0.0, 1.0)
+        rows.extend(users)
+        cols.extend([i] * cfg.k)
+        vals.extend(grades)
+    return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, m)))
+
+
+def dataset_digest(ds):
+    """sha256 of the lexsorted (row, col, data) bytes of S, O, A plus the truth bytes."""
+    h = hashlib.sha256()
+    for mat in (ds.graph.S, ds.graph.O, ds.graph.A):
+        coo = mat.tocoo()
+        order = np.lexsort((coo.col, coo.row))
+        h.update(coo.row[order].astype(np.int64).tobytes())
+        h.update(coo.col[order].astype(np.int64).tobytes())
+        h.update(coo.data[order].astype(np.float64).tobytes())
+    h.update(ds.truth.v.tobytes())
+    return h.hexdigest()
+
+
+# Values 0.3 and 0.4 only; in floating point 0.4 - 0.3 is just over 0.1.
+TWO_POINT = MixtureConfig(pi=(0.5, 0.5), mu=(0.3, 0.4), sigma=(0.0, 0.0))
+
+
+class TestPinnedOutputs:
+    """Generator output bytes, recorded before the generators were vectorised."""
+
+    @pytest.mark.parametrize("cfg, digest", [
+        (default_scenario(seed=0, n=60, m=60),
+         "5a77494c5fb0d1c239becdc55a7304f6d637b6ce854f3466e4ce8778a6ded2b1"),
+        (ScenarioConfig(n=60, m=60, seed=1, social=ErConfig(p=0.05),
+                        assessment=StrategicConfig(k=3, sigma_h=0.0)),
+         "ab003c1f67af564cc35c37bd3defeb3865287a1f3f29e2735cc58526f21d929d"),
+        (ScenarioConfig(n=60, m=60, seed=1, social=ErConfig(p=1.0),
+                        assessment=StrategicConfig(k=3, sigma_h=0.0)),
+         "79e6bc8a3c0fe5065701cdfe00293a504373c2d47da707d3e589a194c6b2db67"),
+        (ScenarioConfig(n=60, m=60, seed=1, social=ErConfig(p=0.05),
+                        assessment=StrategicConfig(k=3, sigma_h=0.25)),
+         "76473d2a392bb1c3f683a13469474a4efb841f4af16da34a78fec25183d61aa9"),
+        (ScenarioConfig(n=60, m=60, seed=2, mixture=TWO_POINT,
+                        social=HomophilyConfig(tau=0.0), assessment=StrategicConfig()),
+         "190f2919b1be7f4585476e3c8e74e7a6f4985420d91a0dcb2851dc7cb79c4d5b"),
+        (ScenarioConfig(n=60, m=60, seed=2, mixture=TWO_POINT,
+                        social=HomophilyConfig(tau=0.1), assessment=StrategicConfig()),
+         "190f2919b1be7f4585476e3c8e74e7a6f4985420d91a0dcb2851dc7cb79c4d5b"),
+        (ScenarioConfig(n=60, m=60, seed=2, mixture=TWO_POINT,
+                        social=HomophilyConfig(tau=1.0), assessment=StrategicConfig()),
+         "62d1919f2d383f452c76ec74231c4b9ab0a4f5ad3818080e8a32a97ce8c825c1"),
+        (ScenarioConfig(n=60, m=60, seed=3,
+                        assessment=BiasReliabilityConfig(k=3, alpha=0.2, beta=0.9)),
+         "f03f0ead61bb9ea23fa3a33349b9b543eab8b8fdbe5b076567e4e6df5eec0b27"),
+    ], ids=["default", "strategic-p0.05", "strategic-p1", "strategic-p0.05-noisy",
+            "homophily-tau0", "homophily-tau0.1", "homophily-tau1", "bias-reliability"])
+    def test_scenario_bytes(self, cfg, digest):
+        assert dataset_digest(build_scenario(cfg)) == digest
+
+    def test_homophily_matches_dense_oracle_with_ties(self):
+        rng = np.random.default_rng(14)
+        for case in range(60):
+            n = int(rng.integers(1, 80))
+            step = (0.1, 0.01, 1 / 3)[case % 3]
+            values = np.clip(np.round(rng.random(n) / step) * step, 0.0, 1.0)
+            a, b = rng.choice(values, 2)
+            # tau exactly equal to a realised gap, or a grid multiple
+            for tau in (abs(a - b), step, 0.0, 1.0):
+                O = sp.identity(n, format="csr")
+                S = gen_social_homophily(GroundTruth.full(values), O, HomophilyConfig(tau=tau))
+                expected = dense_homophily(values, tau)
+                np.testing.assert_array_equal(S.indptr, expected.indptr)
+                np.testing.assert_array_equal(S.indices, expected.indices)
+                np.testing.assert_array_equal(S.data, expected.data)
+
+
+    def test_assessments_match_loop_reference(self):
+        rng = np.random.default_rng(17)
+        for case in range(40):
+            n = int(rng.integers(2, 30))
+            truth = GroundTruth.full(rng.random(n))
+            O = gen_ownership_one_to_one(n, n, rng) * (0.5 if case % 5 == 0 else 1.0)
+            S = gen_social_er(n, ErConfig(p=float(rng.random())), rng)
+            S = S * (2.0 if case % 7 == 0 else 1.0)
+            k = int(rng.integers(1, n))
+            for cfg in (StrategicConfig(k=k, sigma_h=float(rng.random())),
+                        BiasReliabilityConfig(k=k, alpha=float(rng.uniform(-1, 1)),
+                                              beta=float(rng.random()))):
+                seed = int(rng.integers(1 << 30))
+                if isinstance(cfg, StrategicConfig):
+                    A = gen_assess_strategic(truth, O, S, cfg, np.random.default_rng(seed))
+                else:
+                    A = gen_assess_bias_reliability(truth, O, cfg, np.random.default_rng(seed))
+                expected = loop_assessments(truth, O, S, cfg, np.random.default_rng(seed))
+                np.testing.assert_array_equal(A.indptr, expected.indptr)
+                np.testing.assert_array_equal(A.indices, expected.indices)
+                np.testing.assert_array_equal(A.data, expected.data)
+
+
+class TestMemory:
+    """No generator other than ER may allocate an (n, n) array."""
+
+    LIMIT_MB = 40
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        rng = np.random.default_rng(15)
+        truth = gen_ground_truth(5000, MixtureConfig(), rng)
+        O = gen_ownership_one_to_one(5000, 5000, rng)
+        return truth, O, gen_social_homophily(truth, O, HomophilyConfig(tau=0.002))
+
+    @staticmethod
+    def peak_mb(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_homophily_peak(self, inputs):
+        truth, O, _ = inputs
+        peak = self.peak_mb(lambda: gen_social_homophily(truth, O, HomophilyConfig(tau=0.002)))
+        assert peak < self.LIMIT_MB
+
+    def test_strategic_peak(self, inputs):
+        truth, O, S = inputs
+        peak = self.peak_mb(lambda: gen_assess_strategic(
+            truth, O, S, StrategicConfig(), np.random.default_rng(16)))
+        assert peak < self.LIMIT_MB
