@@ -2,6 +2,8 @@
 social-ownership-assessment multigraph, with synthetic scenario generators,
 reference baselines, and a Monte Carlo evaluation harness."""
 
+import types as _types
+
 from .baselines import average_predict, median_predict
 from .errors import (
     DuplicateEntryError,
@@ -77,22 +79,8 @@ from .synthetic import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiasReliabilityConfig", "Dataset", "DuplicateEntryError", "ErConfig",
-    "ExperimentReport", "GroundTruth", "HomophilyConfig", "METHODS",
-    "METHOD_AVERAGE", "METHOD_GCN", "METHOD_MEDIAN", "MixtureConfig",
-    "ModelParams", "PeergradeError", "PropagationMatrix",
-    "ScenarioConfig", "SchemaError", "SoanGraph", "Split", "SplitConfig",
-    "StrategicConfig", "SweepResult", "SweepSpec", "TrainConfig",
-    "TrainingDivergedError", "ValidationError", "ValidationReport",
-    "average_predict", "build_graph", "build_scenario", "canonical_json",
-    "datasets_equal", "default_scenario", "from_matrices",
-    "gen_assess_bias_reliability", "gen_assess_strategic",
-    "gen_ground_truth", "gen_ownership_one_to_one", "gen_social_er",
-    "gen_social_homophily", "graphs_equal", "initial_features",
-    "load_dataset", "load_model", "load_scenario_config",
-    "load_split_config", "load_train_config", "median_predict",
-    "monte_carlo_splits", "predict", "propagation_matrix", "read_results",
-    "rmse", "run_experiment", "run_sweep", "save_dataset", "save_model",
-    "strategic_scenario", "train", "validate", "write_results",
-]
+# Every public name imported above, but not the submodules those imports bind.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

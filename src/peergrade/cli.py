@@ -117,9 +117,9 @@ def _cmd_eval(args) -> int:
     params, cfg = load_model(args.model)
     split_cfg = pio.load_split_config(args.split)
     prop = propagation_matrix(dataset.graph)
-    h0 = initial_features(cfg.features, prop)
+    preds = predict(params, prop, initial_features(cfg.features, prop), range(prop.m))
     scores = [
-        rmse(predict(params, prop, h0, split.test), dataset.truth, split.test)
+        rmse(preds[list(split.test)], dataset.truth, split.test)
         for split in labelled_splits(dataset.truth, split_cfg)
     ]
     mean, std = split_summary(scores)

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit as sigmoid
 
 from .errors import SchemaError, TrainingDivergedError, ValidationError
@@ -75,17 +76,13 @@ class ModelParams:
     def layers(self) -> int:
         return len(self.W)
 
-    @property
-    def dim(self) -> int:
-        return self.W[-1].shape[1]
-
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter tensor."""
+    """First/second moment accumulators over the flattened parameters."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
@@ -93,20 +90,20 @@ class AdamState:
 class ForwardCache:
     """Per-layer intermediates kept for backpropagation."""
 
-    h: list[np.ndarray]        # H[0] .. H[K]
+    h: list                    # H[0] .. H[K]; H[0] may be sparse
     z: list[np.ndarray]        # pre-activations Z[1] .. Z[K]
-    propagated: list[np.ndarray]  # N @ H[l] for l = 0 .. K-1
+    propagated: list           # N @ H[l] for l = 0 .. K-1; sparse when H[0] is
     predictions: np.ndarray
     params: ModelParams  # the parameters this pass ran with
 
 
-def initial_features(kind: str, prop: PropagationMatrix) -> np.ndarray:
-    """Default node features: a single all-ones column (or one-hot rows)."""
+def initial_features(kind: str, prop: PropagationMatrix):
+    """Default node features: one all-ones column, or one-hot rows as an O(n+m) sparse identity."""
     size = prop.size
     if kind == "ones":
         return np.ones((size, 1))
     if kind == "one-hot":
-        return np.eye(size)
+        return sp.identity(size, format="csr")
     raise ValidationError(f"unknown feature kind {kind!r}")
 
 
@@ -122,25 +119,25 @@ def init_params(cfg: TrainConfig, d0: int, rng: np.random.Generator) -> ModelPar
     return ModelParams(W=tuple(W), w_out=w_out, b_out=0.0)
 
 
+# Bit for bit what masking with x <= 0 gives: -0.0 stays -0.0 (np.minimum(x, 0.0)
+# would make it 0.0), NaN takes the positive branch, and positives reach exp as
+# 0.0 so that it cannot overflow.
 def _elu(x: np.ndarray) -> np.ndarray:
-    out = x.copy()
     neg = x <= 0
-    out[neg] = np.expm1(x[neg])
-    return out
+    return np.where(neg, np.expm1(np.where(neg, x, 0.0)), x)
 
 
 def _elu_grad(x: np.ndarray) -> np.ndarray:
-    out = np.ones_like(x)
     neg = x <= 0
-    out[neg] = np.exp(x[neg])
-    return out
+    return np.where(neg, np.exp(np.where(neg, x, 0.0)), 1.0)
 
 
 def forward(
-    params: ModelParams, prop: PropagationMatrix, h0: np.ndarray
+    params: ModelParams, prop: PropagationMatrix, h0
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network; returns predictions for every item plus the cache."""
-    h0 = np.asarray(h0, dtype=np.float64)
+    """Run the network on dense or sparse ``h0``; returns item predictions plus the cache."""
+    if not sp.issparse(h0):
+        h0 = np.asarray(h0, dtype=np.float64)
     if h0.ndim != 2 or h0.shape[0] != prop.size:
         raise ValidationError(
             f"feature matrix has shape {h0.shape}, expected ({prop.size}, d0)"
@@ -162,10 +159,7 @@ def forward(
     item_emb = h[-1][prop.n:]
     logits = item_emb @ params.w_out + params.b_out
     preds = sigmoid(logits)
-    cache = ForwardCache(
-        h=h, z=z, propagated=propagated, predictions=preds, params=params
-    )
-    return preds, cache
+    return preds, ForwardCache(h=h, z=z, propagated=propagated, predictions=preds, params=params)
 
 
 def mse_loss(predictions: np.ndarray, truth: GroundTruth, train_ids: Sequence[int]) -> float:
@@ -208,53 +202,39 @@ def backward(
     d_h = np.zeros_like(cache.h[-1])
     d_h[prop.n:] = np.outer(d_logit, params.w_out)
 
-    NT = prop.N.T.tocsr()
     g_W: list[np.ndarray] = [np.empty(0)] * params.layers
     for layer in range(params.layers - 1, -1, -1):
         d_z = d_h * _elu_grad(cache.z[layer])
         g_W[layer] = cache.propagated[layer].T @ d_z
         if layer > 0:
-            d_h = NT @ (d_z @ params.W[layer].T)
+            d_h = prop.N.T @ (d_z @ params.W[layer].T)
 
     return ModelParams(W=tuple(g_W), w_out=g_w_out, b_out=g_b_out)
 
 
-def _param_arrays(params: ModelParams) -> list[np.ndarray]:
-    return [*params.W, params.w_out, np.array([params.b_out])]
-
-
-def _params_from_arrays(arrays: list[np.ndarray], layers: int) -> ModelParams:
-    return ModelParams(
-        W=tuple(arrays[:layers]), w_out=arrays[layers], b_out=float(arrays[layers + 1][0])
-    )
+def _flat(params: ModelParams) -> np.ndarray:
+    return np.concatenate([*(w.ravel() for w in params.W), params.w_out, [params.b_out]])
 
 
 def init_adam_state(params: ModelParams) -> AdamState:
-    arrays = _param_arrays(params)
-    return AdamState(
-        m=[np.zeros_like(a) for a in arrays],
-        v=[np.zeros_like(a) for a in arrays],
-        t=0,
-    )
+    size = _flat(params).size
+    return AdamState(m=np.zeros(size), v=np.zeros(size), t=0)
 
 
 def adam_step(
     params: ModelParams, grads: ModelParams, state: AdamState, cfg: TrainConfig
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
-    p_arrays = _param_arrays(params)
-    g_arrays = _param_arrays(grads)
+    """One bias-corrected Adam update, elementwise over the flattened parameters."""
+    g = _flat(grads)
     t = state.t + 1
-    new_p, new_m, new_v = [], [], []
-    for p, g, m, v in zip(p_arrays, g_arrays, state.m, state.v):
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-        m_hat = m / (1.0 - cfg.beta1 ** t)
-        v_hat = v / (1.0 - cfg.beta2 ** t)
-        new_p.append(p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon))
-        new_m.append(m)
-        new_v.append(v)
-    return _params_from_arrays(new_p, params.layers), AdamState(m=new_m, v=new_v, t=t)
+    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
+    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (g * g)
+    m_hat = m / (1.0 - cfg.beta1 ** t)
+    v_hat = v / (1.0 - cfg.beta2 ** t)
+    p = _flat(params) - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    *flat_W, head = np.split(p, np.cumsum([w.size for w in params.W]))
+    W = tuple(w.reshape(old.shape) for w, old in zip(flat_W, params.W))
+    return ModelParams(W=W, w_out=head[:-1], b_out=float(head[-1])), AdamState(m=m, v=v, t=t)
 
 
 def train(

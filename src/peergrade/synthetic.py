@@ -247,7 +247,7 @@ def gen_assess_bias_reliability(
     if not np.all(truth.mask[item_of]):
         raise ValidationError("bias-reliability generation requires known values for all owned items")
     sigma_of_user = cfg.sigma_max * (1.0 - cfg.beta * truth.v[item_of])
-    if np.any(sigma_of_user < 0):
+    if np.any(np.signbit(sigma_of_user)):  # also -0.0, which numpy rejects as a scale
         raise ValidationError(
             f"beta={cfg.beta} gives a negative grading standard deviation for some grader"
         )

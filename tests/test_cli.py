@@ -324,3 +324,17 @@ class TestMalformedDocuments:
         err = capsys.readouterr().err
         assert code == 3
         assert "/epsilon: " in err and "Traceback" not in err
+
+
+class TestInvalidScenario:
+    def test_zero_sigma_max_with_steep_beta_is_validation_error(self, tmp_path, capsys):
+        # sigma_max * (1 - beta * v) is -0.0 wherever beta * v > 1
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({
+            "schema_version": 1, "preset": "default", "n": 30, "m": 30, "seed": 0,
+            "assessment": {"kind": "bias-reliability", "sigma_max": 0.0, "beta": 2.0},
+        }))
+        code = dispatch(["generate", "--config", str(config), "--out", str(tmp_path / "b")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "negative grading standard deviation" in err and "Traceback" not in err

@@ -1,9 +1,12 @@
 """Model forward/backward, optimizer, training loop, and checkpointing."""
 
+import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import expit
 
 from peergrade import (
@@ -25,7 +28,16 @@ from peergrade import (
     train,
 )
 from peergrade.harness import SplitConfig
-from peergrade.model import adam_step, backward, forward, init_adam_state, init_params, mse_loss
+from peergrade.model import (
+    _elu,
+    _elu_grad,
+    adam_step,
+    backward,
+    forward,
+    init_adam_state,
+    init_params,
+    mse_loss,
+)
 
 from conftest import random_graph
 
@@ -39,7 +51,7 @@ def dense_forward(params, graph, h0):
     from conftest import dense_propagation
 
     N, _ = dense_propagation(graph)
-    H = np.asarray(h0, dtype=np.float64)
+    H = h0.toarray() if sp.issparse(h0) else np.asarray(h0, dtype=np.float64)
     for W in params.W:
         H = elu(N @ H @ W)
     logits = H[graph.n:] @ params.w_out + params.b_out
@@ -94,13 +106,13 @@ def max_relative_error(analytic, numeric):
     return worst
 
 
-def random_instance(rng, max_nodes=6, max_dim=4, max_layers=3):
+def random_instance(rng, max_nodes=6, max_dim=4, max_layers=3, features="ones"):
     graph = random_graph(rng, max_nodes=max_nodes, assess_density=0.7)
     prop = propagation_matrix(graph)
     cfg = TrainConfig(layers=int(rng.integers(1, max_layers + 1)),
                       dim=int(rng.integers(1, max_dim + 1)),
                       epochs=1, seed=int(rng.integers(0, 2**31)))
-    h0 = initial_features("ones", prop)
+    h0 = initial_features(features, prop)
     params = init_params(cfg, h0.shape[1], np.random.default_rng(cfg.seed))
     truth = GroundTruth.full(rng.uniform(0.0, 1.0, graph.m))
     size = int(rng.integers(1, graph.m + 1))
@@ -168,19 +180,25 @@ class TestForward:
         with pytest.raises(ValidationError):
             forward(params, prop, initial_features("ones", prop))
 
-    def test_sparse_equals_dense_reference(self):
-        rng = np.random.default_rng(3)
+    @staticmethod
+    def check_against_dense_reference(rng, features):
         for _ in range(100):
             n = int(rng.integers(1, 9))
             m = int(rng.integers(1, min(9, 17 - n)))
             graph = random_graph(rng, n=n, m=m)
             prop = propagation_matrix(graph)
             cfg = TrainConfig(layers=int(rng.integers(1, 4)), dim=int(rng.integers(1, 5)))
-            params = init_params(cfg, 1, rng)
-            h0 = initial_features("ones", prop)
+            h0 = initial_features(features, prop)
+            params = init_params(cfg, h0.shape[1], rng)
             preds, _ = forward(params, prop, h0)
             ref = dense_forward(params, graph, h0)
             np.testing.assert_allclose(preds, ref, atol=1e-10)
+
+    def test_sparse_equals_dense_reference(self):
+        self.check_against_dense_reference(np.random.default_rng(3), "ones")
+
+    def test_one_hot_sparse_equals_dense_reference(self):
+        self.check_against_dense_reference(np.random.default_rng(13), "one-hot")
 
     def test_predictions_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(4)
@@ -199,6 +217,18 @@ class TestForward:
         params = init_params(cfg, 3, np.random.default_rng(5))
         preds, _ = forward(params, prop, h0)
         assert preds.shape == (1,)
+
+    def test_one_hot_features_are_the_sparse_identity(self):
+        rng = np.random.default_rng(6)
+        graph = random_graph(rng, n=5, m=4)
+        prop = propagation_matrix(graph)
+        h0 = initial_features("one-hot", prop)
+        assert sp.issparse(h0) and h0.nnz == prop.size
+        np.testing.assert_array_equal(h0.toarray(), np.identity(prop.size))
+        params = init_params(TrainConfig(dim=3), prop.size, rng)
+        preds, _ = forward(params, prop, h0)
+        dense, _ = forward(params, prop, h0.toarray())
+        np.testing.assert_allclose(preds, dense, atol=1e-12)
 
 
 class TestLoss:
@@ -231,14 +261,20 @@ class TestBackward:
         assert grads.b_out == 0.0
         np.testing.assert_array_equal(grads.w_out, 0.0)
 
-    def test_matches_finite_differences_on_random_instances(self):
-        rng = np.random.default_rng(1234)
+    @staticmethod
+    def check_finite_differences(rng, features):
         for _ in range(20):
-            _, prop, _, h0, params, truth, train_ids = random_instance(rng)
+            _, prop, _, h0, params, truth, train_ids = random_instance(rng, features=features)
             preds, cache = forward(params, prop, h0)
             analytic = backward(params, prop, cache, truth, train_ids)
             numeric = numerical_gradients(params, prop, h0, truth, train_ids)
             assert max_relative_error(analytic, numeric) < 1e-4
+
+    def test_matches_finite_differences_on_random_instances(self):
+        self.check_finite_differences(np.random.default_rng(1234), "ones")
+
+    def test_one_hot_matches_finite_differences_on_random_instances(self):
+        self.check_finite_differences(np.random.default_rng(4321), "one-hot")
 
     def test_zero_feature_column_gives_zero_gradient_row(self):
         rng = np.random.default_rng(8)
@@ -267,7 +303,62 @@ class TestBackward:
             backward(other, prop, cache, truth, (0,))
 
 
+def masked_elu(x):
+    """Loop-style reference: the ELU branch applied through a boolean mask."""
+    out = x.copy()
+    out[x <= 0] = np.expm1(x[x <= 0])
+    grad = np.ones_like(x)
+    grad[x <= 0] = np.exp(x[x <= 0])
+    return out, grad
+
+
+def per_tensor_adam(params, grads, moments, t, cfg):
+    """Reference Adam: one update per parameter tensor; ``moments`` is a list of (m, v)."""
+    tensors = lambda p: [*p.W, p.w_out, np.array([p.b_out])]
+    new_p, new_moments = [], []
+    for p, g, (m, v) in zip(tensors(params), tensors(grads), moments):
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+        m_hat = m / (1.0 - cfg.beta1 ** t)
+        v_hat = v / (1.0 - cfg.beta2 ** t)
+        new_p.append(p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon))
+        new_moments.append((m, v))
+    k = len(params.W)
+    return ModelParams(W=tuple(new_p[:k]), w_out=new_p[k], b_out=float(new_p[k + 1][0])), new_moments
+
+
+class TestElu:
+    def test_equals_masked_reference_bitwise(self):
+        x = np.concatenate([
+            [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 800.0, -800.0, np.inf, -np.inf, np.nan],
+            np.random.default_rng(11).normal(scale=3.0, size=989),
+        ]).reshape(-1, 8)
+        out, grad = masked_elu(x)
+        assert _elu(x).tobytes() == out.tobytes()
+        assert _elu_grad(x).tobytes() == grad.tobytes()
+
+
 class TestAdam:
+    def test_equals_per_tensor_reference_bitwise(self):
+        rng = np.random.default_rng(12)
+        params = init_params(TrainConfig(layers=3, dim=5), 2, rng)
+        cfg = TrainConfig(learning_rate=0.05)
+        state = init_adam_state(params)
+        ref_params = params
+        moments = [(np.zeros_like(a), np.zeros_like(a))
+                   for a in (*params.W, params.w_out, np.zeros(1))]
+        for t in range(1, 8):
+            grads = ModelParams(W=tuple(rng.normal(size=w.shape) for w in params.W),
+                                w_out=rng.normal(size=params.w_out.shape),
+                                b_out=float(rng.normal()))
+            params, state = adam_step(params, grads, state, cfg)
+            ref_params, moments = per_tensor_adam(ref_params, grads, moments, t, cfg)
+            for a, b in zip(params.W, ref_params.W):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(params.w_out, ref_params.w_out)
+            assert params.b_out == ref_params.b_out
+        assert state.t == 7
+
     def test_first_step_is_signed_learning_rate(self):
         params = ModelParams(W=(np.array([[1.0, -2.0]]),),
                              w_out=np.array([3.0, -1.0]), b_out=0.5)
@@ -334,6 +425,17 @@ class TestTrain:
         ds = build_scenario(default_scenario(seed=3, n=10, m=10))
         with pytest.raises(ValidationError):
             train(ds, TrainConfig(epochs=1))
+
+    def test_pinned_bits(self, small_dataset):
+        # sha256 of the float64 loss history, then W[0], W[1], w_out and
+        # b_out, recorded before the optimizer and ELU were rewritten as
+        # whole-array code.  Any change to the arithmetic of an epoch shows.
+        params, history = train(small_dataset, TrainConfig(epochs=50, seed=0))
+        digest = hashlib.sha256(np.asarray(history, dtype=np.float64).tobytes())
+        for array in (*params.W, params.w_out, np.float64(params.b_out)):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == (
+            "e24279766289248cc73c47b9e0cebcc6d8dfc6c0506bf0c1d0c68824ae28c8d2")
 
     def test_divergence_aborts_with_epoch(self, small_dataset):
         # an absurd learning rate overflows the layer products within a step
@@ -402,6 +504,22 @@ class TestPredict:
         params2, _ = train(tampered, cfg)
         after = predict(params2, prop, h0, range(40))
         np.testing.assert_array_equal(before, after)
+
+
+class TestMemory:
+    LIMIT_MB = 40
+
+    def test_one_hot_forward_peak(self):
+        # A dense (n+m)^2 identity alone would take 275 MB here.
+        prop = propagation_matrix(build_scenario(default_scenario(seed=0, n=3000, m=3000)).graph)
+        params = init_params(TrainConfig(), prop.size, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            forward(params, prop, initial_features("one-hot", prop))
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < self.LIMIT_MB
 
 
 class TestCheckpoint:

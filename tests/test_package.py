@@ -1,0 +1,25 @@
+"""The package namespace: what ``import peergrade`` and ``import *`` expose."""
+
+import types
+
+import peergrade
+
+
+def test_all_is_every_public_name_but_the_modules():
+    public = {name for name, value in vars(peergrade).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(peergrade.__all__) == public
+    assert len(peergrade.__all__) == len(public)
+    for module in ("io", "model", "graph", "harness", "schema"):
+        assert isinstance(getattr(peergrade, module), types.ModuleType)
+        assert module not in peergrade.__all__
+
+
+def test_star_import_binds_no_module():
+    namespace: dict = {}
+    exec("import io\nstdlib_io = io\nfrom peergrade import *", namespace)
+    assert namespace["io"] is namespace["stdlib_io"]
+    del namespace["io"], namespace["stdlib_io"], namespace["__builtins__"]
+    assert namespace and not any(isinstance(value, types.ModuleType)
+                                 for value in namespace.values())
+    assert set(namespace) == set(peergrade.__all__)
