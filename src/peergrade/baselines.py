@@ -15,25 +15,41 @@ from .errors import ValidationError
 from .graph import SoanGraph
 
 
-def _aggregate(graph: SoanGraph, item_ids: Sequence[int], fn) -> np.ndarray:
+def _graded(graph: SoanGraph, item_ids: Sequence[int]) -> tuple:
+    """``A`` by item columns, and each requested item's first grade position and grade count.
+
+    Raises for the first unknown or ungraded id in request order.
+    """
     csc = graph.A.tocsc()
-    out = np.empty(len(item_ids))
-    for j, item in enumerate(item_ids):
-        i = int(item)
+    ids = np.asarray(item_ids, dtype=np.int64)
+    bad = (ids < 0) | (ids >= graph.m)
+    bad[~bad] = np.diff(csc.indptr)[ids[~bad]] == 0
+    if bad.any():
+        i = int(ids[np.argmax(bad)])
         if not 0 <= i < graph.m:
             raise ValidationError(f"unknown item index {i} (m={graph.m})")
-        grades = csc.data[csc.indptr[i]:csc.indptr[i + 1]]
-        if grades.size == 0:
-            raise ValidationError(f"item {graph.item_ids[i]!r} has no assessments")
-        out[j] = fn(grades)
-    return out
+        raise ValidationError(f"item {graph.item_ids[i]!r} has no assessments")
+    return csc, csc.indptr[ids], np.diff(csc.indptr)[ids]
 
 
 def average_predict(graph: SoanGraph, item_ids: Sequence[int]) -> np.ndarray:
     """Arithmetic mean of each requested item's grades."""
-    return _aggregate(graph, item_ids, np.mean)
+    csc, starts, counts = _graded(graph, item_ids)
+    out = np.empty(counts.size)
+    # One np.mean over each (items, k) block of equal grade counts sums each
+    # row as np.mean does one item's grades, so the bits match the per-item mean.
+    for k in np.unique(counts):
+        rows = counts == k
+        out[rows] = np.mean(csc.data[starts[rows, None] + np.arange(k)], axis=1)
+    return out
 
 
 def median_predict(graph: SoanGraph, item_ids: Sequence[int]) -> np.ndarray:
     """Sample median; even counts take the midpoint of the two middle grades."""
-    return _aggregate(graph, item_ids, np.median)
+    csc, starts, counts = _graded(graph, item_ids)
+    items = np.repeat(np.arange(graph.m), np.diff(csc.indptr))
+    grades = csc.data[np.lexsort((csc.data, items))]
+    # The mean of the middle pair (one grade twice for odd counts), taken with
+    # np.mean as np.median takes it, so that a zero median is +0.0 there too.
+    middle = np.stack([starts + (counts - 1) // 2, starts + counts // 2], axis=1)
+    return np.mean(grades[middle], axis=1)

@@ -14,7 +14,7 @@ and deterministic for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -88,13 +88,19 @@ class AdamState:
 
 @dataclass
 class ForwardCache:
-    """Per-layer intermediates kept for backpropagation."""
+    """Per-layer intermediates kept for backpropagation.
+
+    Passed back to :func:`forward`, its arrays are overwritten in place;
+    :func:`backward` keeps its scratch arrays here too.
+    """
 
     h: list                    # H[0] .. H[K]; H[0] may be sparse
     z: list[np.ndarray]        # pre-activations Z[1] .. Z[K]
     propagated: list           # N @ H[l] for l = 0 .. K-1; sparse when H[0] is
     predictions: np.ndarray
     params: ModelParams  # the parameters this pass ran with
+    prop: PropagationMatrix
+    scratch: dict = field(default_factory=dict)
 
 
 def initial_features(kind: str, prop: PropagationMatrix):
@@ -119,23 +125,37 @@ def init_params(cfg: TrainConfig, d0: int, rng: np.random.Generator) -> ModelPar
     return ModelParams(W=tuple(W), w_out=w_out, b_out=0.0)
 
 
-# Bit for bit what masking with x <= 0 gives: -0.0 stays -0.0 (np.minimum(x, 0.0)
-# would make it 0.0), NaN takes the positive branch, and positives reach exp as
-# 0.0 so that it cannot overflow.
-def _elu(x: np.ndarray) -> np.ndarray:
-    neg = x <= 0
-    return np.where(neg, np.expm1(np.where(neg, x, 0.0)), x)
+# Branch-free, and bit for bit what masking with x <= 0 gives: expm1(x) >= x for
+# x <= 0, positives reach expm1/exp as -0.0/0.0 (so they cannot overflow), -0.0
+# stays -0.0, and NaN takes the positive branch (fmin drops it, maximum keeps
+# it).  ``out`` must not be ``x``.
+def _elu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    out = np.expm1(np.fmin(x, -0.0, out=out), out=out)
+    return np.maximum(out, x, out=out)
 
 
-def _elu_grad(x: np.ndarray) -> np.ndarray:
-    neg = x <= 0
-    return np.where(neg, np.exp(np.where(neg, x, 0.0)), 1.0)
+def _elu_grad(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    out = np.fmin(x, 0.0, out=out)
+    return np.exp(out, out=out)
+
+
+def _scratch(cache: ForwardCache, key: str, shape: tuple) -> np.ndarray:
+    buf = cache.scratch.get(key)
+    if buf is None or buf.shape != shape:
+        buf = cache.scratch[key] = np.empty(shape)
+    return buf
 
 
 def forward(
-    params: ModelParams, prop: PropagationMatrix, h0
+    params: ModelParams, prop: PropagationMatrix, h0, cache: Optional[ForwardCache] = None
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on dense or sparse ``h0``; returns item predictions plus the cache."""
+    """Run the network on dense or sparse ``h0``; returns item predictions plus the cache.
+
+    Given the cache of an earlier pass over the same ``prop``, this pass
+    writes into that cache's arrays and returns it; when ``h0`` is the same
+    object, its ``N @ h0`` is reused, so ``h0`` must not change in place
+    between the two passes.
+    """
     if not sp.issparse(h0):
         h0 = np.asarray(h0, dtype=np.float64)
     if h0.ndim != 2 or h0.shape[0] != prop.size:
@@ -147,19 +167,28 @@ def forward(
             f"W[0] expects {params.W[0].shape[0]} input features, h0 has {h0.shape[1]}"
         )
 
-    h = [h0]
-    z: list[np.ndarray] = []
-    propagated: list[np.ndarray] = []
-    for W in params.W:
-        nh = prop.N @ h[-1]
-        propagated.append(nh)
-        z.append(nh @ W)
-        h.append(_elu(z[-1]))
+    shapes = [(prop.size, W.shape[1]) for W in params.W]
+    if cache is None or cache.prop is not prop or [z.shape for z in cache.z] != shapes:
+        cache = ForwardCache(h=[h0, *map(np.empty, shapes)], z=list(map(np.empty, shapes)),
+                             propagated=[prop.N @ h0] + [None] * (len(shapes) - 1),
+                             predictions=None, params=params, prop=prop)
+    elif cache.h[0] is not h0:
+        cache.h[0], cache.propagated[0] = h0, prop.N @ h0
+    for layer, W in enumerate(params.W):
+        if layer:
+            cache.propagated[layer] = prop.N @ cache.h[layer]
+        nh = cache.propagated[layer]
+        if sp.issparse(nh):
+            cache.z[layer][...] = nh @ W
+        else:
+            np.matmul(nh, W, out=cache.z[layer])
+        _elu(cache.z[layer], out=cache.h[layer + 1])
 
-    item_emb = h[-1][prop.n:]
+    item_emb = cache.h[-1][prop.n:]
     logits = item_emb @ params.w_out + params.b_out
-    preds = sigmoid(logits)
-    return preds, ForwardCache(h=h, z=z, propagated=propagated, predictions=preds, params=params)
+    cache.predictions = sigmoid(logits)
+    cache.params = params
+    return cache.predictions, cache
 
 
 def mse_loss(predictions: np.ndarray, truth: GroundTruth, train_ids: Sequence[int]) -> float:
@@ -199,16 +228,21 @@ def backward(
     g_w_out = item_emb.T @ d_logit
     g_b_out = float(d_logit.sum())
 
-    d_h = np.zeros_like(cache.h[-1])
-    d_h[prop.n:] = np.outer(d_logit, params.w_out)
+    # d_h is zero on user rows (they do not reach the head), so the last
+    # layer's d_z is computed on item rows only.
+    d_z = _scratch(cache, "d_z", cache.z[-1].shape)
+    d_z[:prop.n] = 0.0
+    item_d_z = _elu_grad(cache.z[-1][prop.n:], out=d_z[prop.n:])
+    item_d_z *= np.outer(d_logit, params.w_out)
 
     g_W: list[np.ndarray] = [np.empty(0)] * params.layers
     for layer in range(params.layers - 1, -1, -1):
-        d_z = d_h * _elu_grad(cache.z[layer])
         g_W[layer] = cache.propagated[layer].T @ d_z
         if layer > 0:
-            d_h = prop.N.T @ (d_z @ params.W[layer].T)
-
+            d_in = _scratch(cache, "d_in", (prop.size, params.W[layer].shape[0]))
+            d_h = prop.N.T @ np.matmul(d_z, params.W[layer].T, out=d_in)
+            d_z = _elu_grad(cache.z[layer - 1], out=_scratch(cache, "d_z", d_h.shape))
+            d_z *= d_h
     return ModelParams(W=tuple(g_W), w_out=g_w_out, b_out=g_b_out)
 
 
@@ -259,8 +293,9 @@ def train(
     state = init_adam_state(params)
 
     history: list[float] = []
+    cache = None
     for epoch in range(cfg.epochs):
-        preds, cache = forward(params, prop, h0)
+        preds, cache = forward(params, prop, h0, cache)
         loss = mse_loss(preds, dataset.truth, train_ids)
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch, loss)

@@ -13,6 +13,7 @@ from peergrade import (
     Dataset,
     GroundTruth,
     ModelParams,
+    Split,
     TrainConfig,
     TrainingDivergedError,
     ValidationError,
@@ -231,6 +232,42 @@ class TestForward:
         np.testing.assert_allclose(preds, dense, atol=1e-12)
 
 
+    def test_second_pass_writes_into_the_cache(self):
+        rng = np.random.default_rng(15)
+        graph = random_graph(rng, n=7, m=6)
+        prop = propagation_matrix(graph)
+        h0 = initial_features("ones", prop)
+        first = init_params(TrainConfig(layers=3, dim=4), 1, rng)
+        second = init_params(TrainConfig(layers=3, dim=4), 1, rng)
+        _, cache = forward(first, prop, h0)
+        arrays = [*cache.h, *cache.z, cache.propagated[0]]
+        preds, again = forward(second, prop, h0, cache)
+        assert again is cache and again.params is second
+        assert all(a is b for a, b in zip([*again.h, *again.z, again.propagated[0]], arrays))
+        fresh_preds, fresh = forward(second, prop, h0)
+        assert preds.tobytes() == fresh_preds.tobytes()
+        for a, b in zip([*again.h, *again.z, *again.propagated],
+                        [*fresh.h, *fresh.z, *fresh.propagated]):
+            assert a.tobytes() == b.tobytes()
+
+    def test_cache_is_not_reused_across_inputs(self):
+        rng = np.random.default_rng(16)
+        graph = random_graph(rng, n=5, m=5)
+        prop = propagation_matrix(graph)
+        params = init_params(TrainConfig(layers=2, dim=3), 2, rng)
+        h0 = rng.normal(size=(prop.size, 2))
+        _, cache = forward(params, prop, h0)
+        # a new feature object is propagated afresh, into the same cache
+        preds, again = forward(params, prop, 2.0 * h0, cache)
+        assert again is cache
+        assert preds.tobytes() == forward(params, prop, 2.0 * h0)[0].tobytes()
+        # another operator or other layer widths get a cache of their own
+        other = propagation_matrix(graph)
+        assert forward(params, other, h0, cache)[1] is not cache
+        wider = init_params(TrainConfig(layers=2, dim=4), 2, rng)
+        assert forward(wider, prop, h0, cache)[1] is not cache
+
+
 class TestLoss:
     def test_perfect_predictions_zero_loss(self):
         truth = GroundTruth.full([0.2, 0.8])
@@ -312,6 +349,50 @@ def masked_elu(x):
     return out, grad
 
 
+def reference_forward(params, prop, h0):
+    """The forward pass as first written: fresh arrays, masked ELU."""
+    h, z, propagated = [h0], [], []
+    for W in params.W:
+        propagated.append(prop.N @ h[-1])
+        z.append(propagated[-1] @ W)
+        h.append(masked_elu(z[-1])[0])
+    return expit(h[-1][prop.n:] @ params.w_out + params.b_out), (h, z, propagated)
+
+
+def reference_backward(params, prop, saved, preds, truth, train_ids):
+    """The backward pass as first written: a full-size d_h, masked ELU gradient."""
+    h, z, propagated = saved
+    ids = np.asarray(train_ids)
+    d_pred = np.zeros(prop.m)
+    d_pred[ids] = 2.0 * (preds[ids] - truth.v[ids]) / ids.size
+    d_logit = d_pred * preds * (1.0 - preds)
+    d_h = np.zeros_like(h[-1])
+    d_h[prop.n:] = np.outer(d_logit, params.w_out)
+    g_W = [None] * len(params.W)
+    for layer in reversed(range(len(params.W))):
+        d_z = d_h * masked_elu(z[layer])[1]
+        g_W[layer] = propagated[layer].T @ d_z
+        if layer:
+            d_h = prop.N.T @ (d_z @ params.W[layer].T)
+    return ModelParams(W=tuple(g_W), w_out=h[-1][prop.n:].T @ d_logit,
+                       b_out=float(d_logit.sum()))
+
+
+def reference_train(dataset, cfg, prop):
+    """:func:`train` with every epoch built from fresh arrays."""
+    h0 = initial_features(cfg.features, prop)
+    params = init_params(cfg, h0.shape[1], np.random.default_rng(cfg.seed))
+    state = init_adam_state(params)
+    history = []
+    for _ in range(cfg.epochs):
+        preds, saved = reference_forward(params, prop, h0)
+        history.append(mse_loss(preds, dataset.truth, dataset.split.train))
+        grads = reference_backward(params, prop, saved, preds, dataset.truth,
+                                   dataset.split.train)
+        params, state = adam_step(params, grads, state, cfg)
+    return params, history
+
+
 def per_tensor_adam(params, grads, moments, t, cfg):
     """Reference Adam: one update per parameter tensor; ``moments`` is a list of (m, v)."""
     tensors = lambda p: [*p.W, p.w_out, np.array([p.b_out])]
@@ -336,6 +417,23 @@ class TestElu:
         out, grad = masked_elu(x)
         assert _elu(x).tobytes() == out.tobytes()
         assert _elu_grad(x).tobytes() == grad.tobytes()
+
+    def test_random_lengths_offsets_and_specials_bitwise(self):
+        # Lengths and start offsets vary so that vector bodies and scalar
+        # tails both run; ``out=`` buffers are offset too.
+        rng = np.random.default_rng(14)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                            800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan])
+        for _ in range(400):
+            size, offset = int(rng.integers(1, 3001)), int(rng.integers(0, 8))
+            x = np.empty(size + offset)[offset:]
+            x[:] = rng.normal(scale=3.0, size=size)
+            hits = rng.integers(0, size, size=int(rng.integers(0, size + 1)))
+            x[hits] = rng.choice(special, size=hits.size)
+            out, grad = masked_elu(x)
+            for buf in (None, np.empty(size + offset + 1)[offset + 1:]):
+                assert _elu(x, out=buf).tobytes() == out.tobytes()
+                assert _elu_grad(x, out=buf).tobytes() == grad.tobytes()
 
 
 class TestAdam:
@@ -436,6 +534,25 @@ class TestTrain:
             digest.update(np.ascontiguousarray(array).tobytes())
         assert digest.hexdigest() == (
             "e24279766289248cc73c47b9e0cebcc6d8dfc6c0506bf0c1d0c68824ae28c8d2")
+
+    def test_equals_fresh_array_reference_bitwise(self):
+        rng = np.random.default_rng(17)
+        for trial in range(24):
+            graph = random_graph(rng, max_nodes=30, assess_density=0.3)
+            prop = propagation_matrix(graph)
+            ids = rng.permutation(graph.m)
+            size = int(rng.integers(1, graph.m + 1))
+            dataset = Dataset(graph=graph, truth=GroundTruth.full(rng.uniform(0, 1, graph.m)),
+                              split=Split(train=ids[:size], test=ids[size:]))
+            cfg = TrainConfig(layers=int(rng.integers(1, 4)), dim=int(rng.integers(1, 9)),
+                              epochs=int(rng.integers(1, 31)), seed=trial,
+                              features=("ones", "one-hot")[trial % 2])
+            params, history = train(dataset, cfg, prop)
+            ref_params, ref_history = reference_train(dataset, cfg, prop)
+            assert np.asarray(history).tobytes() == np.asarray(ref_history).tobytes()
+            for a, b in zip((*params.W, params.w_out), (*ref_params.W, ref_params.w_out)):
+                assert a.tobytes() == b.tobytes()
+            assert params.b_out == ref_params.b_out
 
     def test_divergence_aborts_with_epoch(self, small_dataset):
         # an absurd learning rate overflows the layer products within a step
