@@ -129,13 +129,6 @@ class Dataset:
                         raise ValidationError(f"split item {i} has no known ground-truth value")
 
 
-def _check_weight(value: float, kind: str, triple) -> float:
-    w = float(value)
-    if not np.isfinite(w) or w < 0.0 or w > 1.0:
-        raise ValidationError(f"{kind} weight out of range [0, 1] in entry {triple!r}")
-    return w
-
-
 def _index_map(ids: set[str]) -> tuple[dict[str, int], tuple[str, ...]]:
     ordered = tuple(sorted(ids))
     return {s: i for i, s in enumerate(ordered)}, ordered
@@ -152,6 +145,44 @@ def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
     return mat
 
 
+def _columns(entries: Iterable[Triple]) -> tuple[list, list, list]:
+    """The three columns of ``entries``, holding the objects given."""
+    entries = list(entries)
+    return ([u for u, _, _ in entries], [i for _, i, _ in entries], [w for _, _, w in entries])
+
+
+def _weights(values: Sequence) -> np.ndarray:
+    return np.fromiter(map(float, values), np.float64, len(values))
+
+
+def _indices(index: dict[str, int], ids: Sequence[str]) -> np.ndarray:
+    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+
+
+def _outside_unit(values: np.ndarray) -> np.ndarray:
+    """Mask of values that are NaN or outside [0, 1]."""
+    return ~((values >= 0.0) & (values <= 1.0))
+
+
+def _repeated(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries whose key an earlier entry already has."""
+    repeated = np.ones(keys.shape, dtype=bool)
+    repeated[np.unique(keys, return_index=True)[1]] = False
+    return repeated
+
+
+def _raise_first(*checks) -> None:
+    """Raise for the first entry that fails a check; on one entry, earlier checks win.
+
+    Each check is a ``(mask, error)`` pair: ``mask`` marks the failing entries
+    and ``error(k)`` builds the exception for entry ``k``.
+    """
+    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise next(error(k) for mask, error in checks if mask[k])
+
+
 def build_graph(
     assessments: Iterable[Triple],
     ownerships: Iterable[Triple] = (),
@@ -164,59 +195,45 @@ def build_graph(
     Identifiers are mapped to contiguous 0-based indices by lexicographic
     order, so the layout is deterministic and independent of edge order.
     Social edges are symmetrized (both directions stored).  Duplicate edges,
-    self-edges in the social list, and weights outside [0, 1] are rejected.
+    self-edges in the social list, and weights outside [0, 1] are rejected;
+    the error names the first bad entry, checking assessments, then
+    ownerships, then social ties.
 
     ``users`` / ``items`` may declare identifiers that appear in no edge.
     """
-    assessments = list(assessments)
-    ownerships = list(ownerships)
-    social = list(social)
-
-    user_set = set(users)
-    item_set = set(items)
-    for u, i, _ in assessments:
-        user_set.add(str(u))
-        item_set.add(str(i))
-    for u, i, _ in ownerships:
-        user_set.add(str(u))
-        item_set.add(str(i))
-    for a, b, _ in social:
-        user_set.add(str(a))
-        user_set.add(str(b))
-
-    uidx, user_ids = _index_map(user_set)
-    iidx, item_ids = _index_map(item_set)
+    (a_u, a_i, a_w), (o_u, o_i, o_w), (s_a, s_b, s_w) = (
+        _columns(entries) for entries in (assessments, ownerships, social))
+    a_users, a_items, o_users, o_items, s_a, s_b = (
+        list(map(str, ids)) for ids in (a_u, a_i, o_u, o_i, s_a, s_b))
+    uidx, user_ids = _index_map({*users, *a_users, *o_users, *s_a, *s_b})
+    iidx, item_ids = _index_map({*items, *a_items, *o_items})
     n, m = len(user_ids), len(item_ids)
 
-    def bipartite(entries, kind):
-        rows, cols, vals, seen = [], [], [], set()
-        for u, i, w in entries:
-            key = (str(u), str(i))
-            if key in seen:
-                raise DuplicateEntryError(f"duplicate {kind} entry for {key!r}")
-            seen.add(key)
-            rows.append(uidx[key[0]])
-            cols.append(iidx[key[1]])
-            vals.append(_check_weight(w, kind, (u, i, w)))
-        return _csr(rows, cols, vals, (n, m))
+    def bipartite(kind, given, names):
+        w = _weights(given[2])
+        rows, cols = _indices(uidx, names[0]), _indices(iidx, names[1])
+        _raise_first(
+            (_repeated(rows * m + cols), lambda k: DuplicateEntryError(
+                f"duplicate {kind} entry for {(names[0][k], names[1][k])!r}")),
+            (_outside_unit(w), lambda k: ValidationError(
+                f"{kind} weight out of range [0, 1] in entry {tuple(c[k] for c in given)!r}")),
+        )
+        return _csr(rows, cols, w, (n, m))
 
-    A = bipartite(assessments, "assessment")
-    O = bipartite(ownerships, "ownership")
+    A = bipartite("assessment", (a_u, a_i, a_w), (a_users, a_items))
+    O = bipartite("ownership", (o_u, o_i, o_w), (o_users, o_items))
 
-    rows, cols, vals, seen = [], [], [], set()
-    for a, b, w in social:
-        a, b = str(a), str(b)
-        if a == b:
-            raise ValidationError(f"self-edge in social list: {(a, b, w)!r}")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise DuplicateEntryError(f"duplicate social entry for {key!r}")
-        seen.add(key)
-        weight = _check_weight(w, "social", (a, b, w))
-        rows.extend((uidx[a], uidx[b]))
-        cols.extend((uidx[b], uidx[a]))
-        vals.extend((weight, weight))
-    S = _csr(rows, cols, vals, (n, n))
+    a, b, w = _indices(uidx, s_a), _indices(uidx, s_b), _weights(s_w)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)  # index order is identifier order
+    _raise_first(
+        (a == b, lambda k: ValidationError(
+            f"self-edge in social list: {(s_a[k], s_b[k], s_w[k])!r}")),
+        (_repeated(lo * n + hi), lambda k: DuplicateEntryError(
+            f"duplicate social entry for {(user_ids[lo[k]], user_ids[hi[k]])!r}")),
+        (_outside_unit(w), lambda k: ValidationError(
+            f"social weight out of range [0, 1] in entry {(s_a[k], s_b[k], s_w[k])!r}")),
+    )
+    S = _csr(np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w]), (n, n))
 
     return SoanGraph(n=n, m=m, S=S, O=O, A=A, user_ids=user_ids, item_ids=item_ids)
 

@@ -11,13 +11,14 @@ separators, newline-terminated, unknown fields rejected.
 from __future__ import annotations
 
 import csv
+from itertools import repeat
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-from .graph import Dataset, GroundTruth, build_graph
+from .graph import Dataset, GroundTruth, _outside_unit, _raise_first, _repeated, build_graph
 from .harness import ExperimentReport, SplitConfig, SweepSpec
 from .model import TrainConfig
 from .schema import (
@@ -37,15 +38,15 @@ SOCIAL_HEADER = ["user_a", "user_b", "weight"]
 TRUTH_HEADER = ["item_id", "value"]
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _text(values: np.ndarray) -> list[str]:
+    return [f"{x:.17g}" for x in values.tolist()]
 
 
-def _parse_float(text: str, where: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise SchemaError(f"{where}: cannot parse {text!r} as a number") from None
+def _write_csv(path: Path, header: list[str], *columns) -> None:
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
 
 
 # --- dataset bundles ----------------------------------------------------------
@@ -56,41 +57,28 @@ def save_dataset(dataset: Dataset, path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     graph = dataset.graph
 
-    def write_rows(name: str, header: list[str], rows) -> None:
-        with (out / name).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+    def write_relation(name, header, col_ids, rows, cols, vals) -> None:
+        order = np.lexsort((cols, rows))
+        _write_csv(out / name, header,
+                   [graph.user_ids[k] for k in rows[order].tolist()],
+                   [col_ids[k] for k in cols[order].tolist()], _text(vals[order]))
 
     ac = graph.A.tocoo()
-    order = np.lexsort((ac.col, ac.row))
-    write_rows("assessments.csv", ASSESSMENT_HEADER, (
-        (graph.user_ids[ac.row[j]], graph.item_ids[ac.col[j]], _fmt(ac.data[j]))
-        for j in order
-    ))
+    write_relation("assessments.csv", ASSESSMENT_HEADER, graph.item_ids, ac.row, ac.col, ac.data)
 
     oc = graph.O.tocoo()
     if oc.nnz:
-        order = np.lexsort((oc.col, oc.row))
-        write_rows("ownership.csv", OWNERSHIP_HEADER, (
-            (graph.user_ids[oc.row[j]], graph.item_ids[oc.col[j]], _fmt(oc.data[j]))
-            for j in order
-        ))
+        write_relation("ownership.csv", OWNERSHIP_HEADER, graph.item_ids, oc.row, oc.col, oc.data)
 
     sc = graph.S.tocoo()
     if sc.nnz:
         upper = sc.row < sc.col  # undirected edges written once
-        rows, cols, vals = sc.row[upper], sc.col[upper], sc.data[upper]
-        order = np.lexsort((cols, rows))
-        write_rows("social.csv", SOCIAL_HEADER, (
-            (graph.user_ids[rows[j]], graph.user_ids[cols[j]], _fmt(vals[j]))
-            for j in order
-        ))
+        write_relation("social.csv", SOCIAL_HEADER, graph.user_ids,
+                       sc.row[upper], sc.col[upper], sc.data[upper])
 
-    known = np.nonzero(dataset.truth.mask)[0]
-    write_rows("truth.csv", TRUTH_HEADER, (
-        (graph.item_ids[i], _fmt(dataset.truth.v[i])) for i in known
-    ))
+    known = np.flatnonzero(dataset.truth.mask)
+    _write_csv(out / "truth.csv", TRUTH_HEADER,
+               [graph.item_ids[k] for k in known.tolist()], _text(dataset.truth.v[known]))
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -103,28 +91,66 @@ def save_dataset(dataset: Dataset, path) -> None:
     (out / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
 
 
-def _read_csv(path: Path, header: list[str], required: bool):
-    """Parse rows as (*string columns, float last column) tuples."""
+def _utf8_error(path: Path) -> SchemaError:
+    """The error for a file that is not UTF-8, naming the line of its first bad byte."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return SchemaError(f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+    return SchemaError(f"{path}: not UTF-8 text")  # changed while being read
+
+
+def _read_csv(path: Path, header: list[str], required: bool) -> list:
+    """Columns of a CSV: a list of strings per field, the last field as float64.
+
+    Blank lines are skipped.  The line named by a row's error counts CSV
+    records, the header being 1; that of an undecodable byte or a
+    ``csv.Error`` counts physical lines.
+    """
+    width = len(header)
     if not path.exists():
         if required:
             raise ValidationError(f"missing required file {path}")
-        return []
-    rows = []
-    with path.open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            got = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected header {','.join(header)}") from None
-        if got != header:
-            raise SchemaError(f"{path}: expected header {','.join(header)}, got {','.join(got)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
-            rows.append((*row[:-1], _parse_float(row[-1], f"{path}:{line_no}")))
-    return rows
+        return [[] for _ in header[1:]] + [np.empty(0)]
+    try:
+        with path.open("r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            got = next(reader, None)
+            if got is None:
+                raise SchemaError(f"{path}: empty file, expected header {','.join(header)}")
+            if got != header:
+                raise SchemaError(f"{path}: expected header {','.join(header)}, got {','.join(got)}")
+            rows = list(reader)
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    wrong = np.flatnonzero((lengths != width) & (lengths != 0))
+    end = int(wrong[0]) if wrong.size else len(rows)  # rows after a wrong one are never read
+    rows = [row for row in rows[:end] if row]
+    columns = [[row[k] for row in rows] for k in range(width)]
+    try:
+        values = np.fromiter(map(float, columns[-1]), np.float64, len(columns[-1]))
+    except ValueError:
+        lines = np.flatnonzero(lengths[:end]) + 2
+        for line, value in zip(lines.tolist(), columns[-1]):
+            try:
+                float(value)
+            except ValueError:
+                raise SchemaError(f"{path}:{line}: cannot parse {value!r} as a number") from None
+    if wrong.size:
+        raise SchemaError(f"{path}:{end + 2}: expected {width} fields, got {lengths[end]}")
+    return columns[:-1] + [values]
+
+
+def _triples(columns: list) -> Iterable[tuple]:
+    """The rows of :func:`_read_csv`'s columns, as :func:`build_graph` takes them."""
+    *ids, weights = columns
+    return zip(*ids, weights.tolist())
 
 
 def load_dataset(path, scale_max: Optional[float] = None) -> Dataset:
@@ -138,7 +164,7 @@ def load_dataset(path, scale_max: Optional[float] = None) -> Dataset:
     assessments = _read_csv(root / "assessments.csv", ASSESSMENT_HEADER, required=True)
     ownership = _read_csv(root / "ownership.csv", OWNERSHIP_HEADER, required=False)
     social = _read_csv(root / "social.csv", SOCIAL_HEADER, required=False)
-    truth_rows = _read_csv(root / "truth.csv", TRUTH_HEADER, required=True)
+    truth_items, values = _read_csv(root / "truth.csv", TRUTH_HEADER, required=True)
 
     declared_users: list[str] = []
     declared_items: list[str] = []
@@ -148,33 +174,36 @@ def load_dataset(path, scale_max: Optional[float] = None) -> Dataset:
         reject_unknown(manifest, {"schema_version", "kind", "n", "m", "user_ids", "item_ids"}, "/")
         declared_users = [str(u) for u in expect(manifest.get("user_ids", []), list, "/user_ids")]
         declared_items = [str(i) for i in expect(manifest.get("item_ids", []), list, "/item_ids")]
+        for key, ids, name in (("n", declared_users, "user_ids"), ("m", declared_items, "item_ids")):
+            if key in manifest and expect(manifest[key], int, f"/{key}") != len(ids):
+                raise SchemaError(f"/{key}: {manifest[key]} does not match the "
+                                  f"{len(ids)} entries of /{name}")
 
     if scale_max is not None:
-        assessments = [(u, i, g / scale_max) for u, i, g in assessments]
-        truth_rows = [(i, v / scale_max) for i, v in truth_rows]
+        assessments[-1] = assessments[-1] / scale_max
+        values = values / scale_max
 
     graph = build_graph(
-        assessments=assessments,
-        ownerships=ownership,
-        social=social,
+        assessments=_triples(assessments),
+        ownerships=_triples(ownership),
+        social=_triples(social),
         users=declared_users,
         items=declared_items,
     )
 
     item_index = {item_id: j for j, item_id in enumerate(graph.item_ids)}
+    idx = np.fromiter(map(item_index.get, truth_items, repeat(-1)), np.int64, len(truth_items))
+    _raise_first(
+        (idx < 0, lambda k: ValidationError(f"truth.csv references unknown item {truth_items[k]!r}")),
+        (_repeated(idx), lambda k: ValidationError(f"truth.csv lists item {truth_items[k]!r} twice")),
+        (_outside_unit(values),
+         lambda k: ValidationError(f"truth value {float(values[k])} for item "
+                                   f"{truth_items[k]!r} outside [0, 1]")),
+    )
     v = np.full(graph.m, np.nan)
+    v[idx] = values
     mask = np.zeros(graph.m, dtype=bool)
-    for item_id, value in truth_rows:
-        if item_id not in item_index:
-            raise ValidationError(f"truth.csv references unknown item {item_id!r}")
-        j = item_index[item_id]
-        if mask[j]:
-            raise ValidationError(f"truth.csv lists item {item_id!r} twice")
-        if not 0.0 <= value <= 1.0:
-            raise ValidationError(f"truth value {value} for item {item_id!r} outside [0, 1]")
-        v[j] = value
-        mask[j] = True
-
+    mask[idx] = True
     return Dataset(graph=graph, truth=GroundTruth(v, mask), split=None)
 
 

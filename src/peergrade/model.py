@@ -180,6 +180,12 @@ def forward(
         nh = cache.propagated[layer]
         if sp.issparse(nh):
             cache.z[layer][...] = nh @ W
+        elif W.shape[0] == 1:
+            # One feature (``ones``): each entry is one product, cheaper as a
+            # broadcast than a dgemm.  Adding 0.0 turns -0.0 into +0.0, as the
+            # zeroed BLAS accumulator does, so the bits match the matmul.
+            np.multiply(nh, W, out=cache.z[layer])
+            cache.z[layer] += 0.0
         else:
             np.matmul(nh, W, out=cache.z[layer])
         _elu(cache.z[layer], out=cache.h[layer + 1])

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, exit codes, stdout determinism."""
 
+import csv
 import json
 
 import pytest
@@ -338,3 +339,28 @@ class TestInvalidScenario:
         err = capsys.readouterr().err
         assert code == 3
         assert "negative grading standard deviation" in err and "Traceback" not in err
+
+
+class TestUndecodableBundle:
+    def run_baseline(self, bundle_dir, split_file, capsys):
+        code = dispatch(["baseline", "--method", "average", "--data", str(bundle_dir),
+                         "--split", str(split_file)])
+        return code, capsys.readouterr().err
+
+    def test_bytes_that_are_not_utf8_are_a_validation_error(self, bundle_dir, split_file, capsys):
+        path = bundle_dir / "assessments.csv"
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = b"u\xff\xfe" + lines[3]
+        path.write_bytes(b"\n".join(lines))
+        code, err = self.run_baseline(bundle_dir, split_file, capsys)
+        assert code == 3
+        assert f"{path}:4: not UTF-8 text" in err and "Traceback" not in err
+
+    def test_field_over_the_csv_limit_is_a_validation_error(self, bundle_dir, split_file, capsys):
+        path = bundle_dir / "truth.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = "x" * (csv.field_size_limit() + 1) + ",0.5"
+        path.write_text("\n".join(lines) + "\n")
+        code, err = self.run_baseline(bundle_dir, split_file, capsys)
+        assert code == 3
+        assert f"{path}:3: field larger than field limit" in err and "Traceback" not in err

@@ -1,6 +1,7 @@
 """Bundle round trips, config parsing, and results serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from peergrade import (
     write_results,
 )
 from peergrade.io import parse_scenario_config
-from peergrade.synthetic import ErConfig, StrategicConfig
+from peergrade.synthetic import ErConfig, HomophilyConfig, ScenarioConfig, StrategicConfig
 
 from conftest import random_graph
 
@@ -101,6 +102,18 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match="^/user_ids: "):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", 7, "7 does not match the 1 entries of /user_ids"),
+        ("m", 0, "0 does not match the 1 entries of /item_ids"),
+        ("n", "1", "expected int, got str"),
+    ])
+    def test_manifest_counts_must_match_id_lists(self, tmp_path, key, value, message):
+        write_bundle(tmp_path, [("u1", "i1", 0.8)], [("i1", 0.5)])
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"schema_version": 1, "user_ids": ["u1"], "item_ids": ["i1"], key: value}))
+        with pytest.raises(SchemaError, match=f"^/{key}: {message}$"):
+            load_dataset(tmp_path)
+
     def test_group_ownership_and_self_grades(self, tmp_path):
         # multiple ownership rows per item and a grader who owns the item
         write_bundle(
@@ -158,6 +171,22 @@ class TestRoundTrip:
         loaded = load_dataset(tmp_path / "b")
         assert loaded.graph.A[0, 0] == value
         assert loaded.truth.v[0] == value
+
+
+class TestMemory:
+    LIMIT_MB = 40  # the per-row loader peaked at 46 MB here
+
+    def test_load_5k_bundle_peak(self, tmp_path):
+        scenario = ScenarioConfig(n=5000, m=5000, seed=0, social=HomophilyConfig(tau=0.002),
+                                  assessment=StrategicConfig())
+        save_dataset(build_scenario(scenario), tmp_path)
+        tracemalloc.start()
+        try:
+            load_dataset(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < self.LIMIT_MB
 
 
 class TestConfigs:

@@ -174,6 +174,19 @@ class TestForward:
         flipped, _ = forward(replace(params, w_out=-params.w_out), prop, h0)
         np.testing.assert_allclose(flipped, 1.0 - preds, atol=1e-12)
 
+    def test_one_input_feature_equals_matmul_bitwise(self):
+        # +0.0 features times negative weights are -0.0 products, which BLAS returns as +0.0.
+        graph = random_graph(np.random.default_rng(4), n=6, m=5)
+        prop = propagation_matrix(graph)
+        h0 = np.zeros((prop.size, 1))
+        h0[[1, 4, 7], 0] = [5e-324, 0.3, -2.0]
+        W = np.array([[-0.5, 0.0, -0.0, 5e-324, -1e-300, 2.0, -np.inf]])
+        params = ModelParams(W=(W, np.ones((7, 7))), w_out=np.ones(7), b_out=0.0)
+        with np.errstate(invalid="ignore"):
+            _, cache = forward(params, prop, h0)
+            expected = (prop.N @ h0) @ W
+        assert cache.z[0].tobytes() == expected.tobytes()
+
     def test_shape_mismatch_rejected(self):
         graph = build_graph([("u1", "i1", 0.8)])
         prop = propagation_matrix(graph)
