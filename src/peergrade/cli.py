@@ -59,14 +59,13 @@ def _parse_scale(text: str) -> float:
     return value
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("PEERGRADE_JOBS")
-    if env is None:
-        return 1
+def _jobs(text: str) -> int:
+    """``--jobs``, or ``$PEERGRADE_JOBS`` when the flag is absent (argparse converts both)."""
     try:
-        return max(1, int(env))
+        return int(text)
     except ValueError:
-        return 1
+        raise argparse.ArgumentTypeError(
+            f"{text!r} from --jobs or PEERGRADE_JOBS is not an integer") from None
 
 
 def _cmd_generate(args) -> int:
@@ -145,9 +144,8 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec, methods, split_cfg, train_cfg = pio.load_sweep_document(args.spec)
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
     started = time.perf_counter()
-    result = run_sweep(spec, methods, split_cfg, train_cfg, jobs=jobs)
+    result = run_sweep(spec, methods, split_cfg, train_cfg, jobs=args.jobs)
     _log(f"swept {len(spec.grid)} points in {time.perf_counter() - started:.2f}s")
     for point in result.points:
         if point.error is not None:
@@ -207,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a parameter sweep and emit CSV")
     p.add_argument("--spec", required=True, help="sweep spec JSON")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_jobs, default=os.environ.get("PEERGRADE_JOBS", "1"),
                    help="parallel workers (default: $PEERGRADE_JOBS or 1)")
     p.set_defaults(func=_cmd_sweep)
 

@@ -49,6 +49,8 @@ class SplitConfig:
             raise ValidationError(f"train fraction {self.train_fraction} must lie in (0, 1)")
         if self.n_splits < 1:
             raise ValidationError("n_splits must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed {self.seed} must be >= 0")
 
 
 def monte_carlo_splits(item_count: int, cfg: SplitConfig) -> list[Split]:
@@ -193,6 +195,8 @@ class SweepSpec:
             raise ValidationError(f"unknown sweep parameter {self.param!r}; choose from {SWEEP_PARAMS}")
         if len(self.grid) == 0:
             raise ValidationError("sweep grid is empty")
+        if self.param in ("k", "layers") and any(not float(v).is_integer() for v in self.grid):
+            raise ValidationError(f"sweep values of {self.param!r} must be whole numbers")
         object.__setattr__(self, "grid", tuple(self.grid))
 
 

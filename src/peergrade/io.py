@@ -221,7 +221,7 @@ def _config(cls, obj, where: str, base=None, envelope=ENVELOPE):
 
 def parse_scenario_config(obj: dict, where: str = "") -> ScenarioConfig:
     """Parse a scenario object: optional preset plus field overrides."""
-    preset = expect(obj, dict, where).get("preset", "default")
+    preset = expect(expect(obj, dict, where).get("preset", "default"), str, f"{where}/preset")
     if preset not in PRESETS:
         raise SchemaError(f"{where}/preset: expected 'default' or 'strategic', got {preset!r}")
     return _config(ScenarioConfig, obj, where, PRESETS[preset](), (*ENVELOPE, "preset"))

@@ -14,7 +14,7 @@ and deterministic for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -57,6 +57,8 @@ class TrainConfig:
             raise ValidationError("layers, dim and epochs must all be >= 1")
         if self.learning_rate <= 0:
             raise ValidationError("learning_rate must be > 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed {self.seed} must be >= 0")
         if self.features not in FEATURE_KINDS:
             raise ValidationError(f"features must be one of {FEATURE_KINDS}")
 
@@ -90,17 +92,16 @@ class AdamState:
 class ForwardCache:
     """Per-layer intermediates kept for backpropagation.
 
-    Passed back to :func:`forward`, its arrays are overwritten in place;
-    :func:`backward` keeps its scratch arrays here too.
+    Passed back to :func:`forward`, its arrays are overwritten in place.
     """
 
     h: list                    # H[0] .. H[K]; H[0] may be sparse
     z: list[np.ndarray]        # pre-activations Z[1] .. Z[K]
+    d_z: list[np.ndarray]      # backward's buffers, shaped as z
     propagated: list           # N @ H[l] for l = 0 .. K-1; sparse when H[0] is
     predictions: np.ndarray
     params: ModelParams  # the parameters this pass ran with
     prop: PropagationMatrix
-    scratch: dict = field(default_factory=dict)
 
 
 def initial_features(kind: str, prop: PropagationMatrix):
@@ -139,22 +140,14 @@ def _elu_grad(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _scratch(cache: ForwardCache, key: str, shape: tuple) -> np.ndarray:
-    buf = cache.scratch.get(key)
-    if buf is None or buf.shape != shape:
-        buf = cache.scratch[key] = np.empty(shape)
-    return buf
-
-
 def forward(
     params: ModelParams, prop: PropagationMatrix, h0, cache: Optional[ForwardCache] = None
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on dense or sparse ``h0``; returns item predictions plus the cache.
 
-    Given the cache of an earlier pass over the same ``prop``, this pass
-    writes into that cache's arrays and returns it; when ``h0`` is the same
-    object, its ``N @ h0`` is reused, so ``h0`` must not change in place
-    between the two passes.
+    Given the cache of an earlier pass with the same ``prop`` and ``h0`` objects
+    and layer widths, writes into its arrays (``N @ h0`` is reused, so ``h0``
+    must not change in place) and returns it; any other cache is a ValidationError.
     """
     if not sp.issparse(h0):
         h0 = np.asarray(h0, dtype=np.float64)
@@ -168,12 +161,13 @@ def forward(
         )
 
     shapes = [(prop.size, W.shape[1]) for W in params.W]
-    if cache is None or cache.prop is not prop or [z.shape for z in cache.z] != shapes:
+    if cache is None:
         cache = ForwardCache(h=[h0, *map(np.empty, shapes)], z=list(map(np.empty, shapes)),
+                             d_z=list(map(np.empty, shapes)),
                              propagated=[prop.N @ h0] + [None] * (len(shapes) - 1),
                              predictions=None, params=params, prop=prop)
-    elif cache.h[0] is not h0:
-        cache.h[0], cache.propagated[0] = h0, prop.N @ h0
+    elif cache.prop is not prop or cache.h[0] is not h0 or [z.shape for z in cache.z] != shapes:
+        raise ValidationError("forward cache was made for another operator, input or layer widths")
     for layer, W in enumerate(params.W):
         if layer:
             cache.propagated[layer] = prop.N @ cache.h[layer]
@@ -190,9 +184,7 @@ def forward(
             np.matmul(nh, W, out=cache.z[layer])
         _elu(cache.z[layer], out=cache.h[layer + 1])
 
-    item_emb = cache.h[-1][prop.n:]
-    logits = item_emb @ params.w_out + params.b_out
-    cache.predictions = sigmoid(logits)
+    cache.predictions = sigmoid(cache.h[-1][prop.n:] @ params.w_out + params.b_out)
     cache.params = params
     return cache.predictions, cache
 
@@ -230,25 +222,24 @@ def backward(
     d_pred[ids] = 2.0 * (preds[ids] - truth.v[ids]) / ids.size
     d_logit = d_pred * preds * (1.0 - preds)
 
-    item_emb = cache.h[-1][prop.n:]
-    g_w_out = item_emb.T @ d_logit
+    g_w_out = cache.h[-1][prop.n:].T @ d_logit
     g_b_out = float(d_logit.sum())
 
     # d_h is zero on user rows (they do not reach the head), so the last
     # layer's d_z is computed on item rows only.
-    d_z = _scratch(cache, "d_z", cache.z[-1].shape)
-    d_z[:prop.n] = 0.0
-    item_d_z = _elu_grad(cache.z[-1][prop.n:], out=d_z[prop.n:])
+    d_z = cache.d_z
+    d_z[-1][:prop.n] = 0.0
+    item_d_z = _elu_grad(cache.z[-1][prop.n:], out=d_z[-1][prop.n:])
     item_d_z *= np.outer(d_logit, params.w_out)
 
     g_W: list[np.ndarray] = [np.empty(0)] * params.layers
     for layer in range(params.layers - 1, -1, -1):
-        g_W[layer] = cache.propagated[layer].T @ d_z
+        g_W[layer] = cache.propagated[layer].T @ d_z[layer]
         if layer > 0:
-            d_in = _scratch(cache, "d_in", (prop.size, params.W[layer].shape[0]))
-            d_h = prop.N.T @ np.matmul(d_z, params.W[layer].T, out=d_in)
-            d_z = _elu_grad(cache.z[layer - 1], out=_scratch(cache, "d_z", d_h.shape))
-            d_z *= d_h
+            # d_z @ W.T borrows the lower layer's buffer until N.T has taken it.
+            d_h = prop.N.T @ np.matmul(d_z[layer], params.W[layer].T, out=d_z[layer - 1])
+            _elu_grad(cache.z[layer - 1], out=d_z[layer - 1])
+            d_z[layer - 1] *= d_h
     return ModelParams(W=tuple(g_W), w_out=g_w_out, b_out=g_b_out)
 
 
@@ -269,8 +260,9 @@ def adam_step(
     t = state.t + 1
     m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
     v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (g * g)
-    m_hat = m / (1.0 - cfg.beta1 ** t)
-    v_hat = v / (1.0 - cfg.beta2 ** t)
+    # numpy's power overflows to inf, where a float's raises OverflowError
+    m_hat = m / (1.0 - np.float64(cfg.beta1) ** t)
+    v_hat = v / (1.0 - np.float64(cfg.beta2) ** t)
     p = _flat(params) - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
     *flat_W, head = np.split(p, np.cumsum([w.size for w in params.W]))
     W = tuple(w.reshape(old.shape) for w, old in zip(flat_W, params.W))
@@ -308,6 +300,8 @@ def train(
         history.append(loss)
         grads = backward(params, prop, cache, dataset.truth, train_ids)
         params, state = adam_step(params, grads, state, cfg)
+    if not np.all(np.isfinite(_flat(params))):  # the last step diverged; no loss saw it
+        raise TrainingDivergedError(cfg.epochs, float("nan"))
     return params, history
 
 

@@ -112,7 +112,7 @@ def _read(typ, obj, where: str, base):
     if origin is Union:
         members = {getattr(m, "KIND", "none"): m for m in args}  # NoneType has no KIND
         kind = expect(obj, dict, where).get("kind")
-        if kind not in members:
+        if not isinstance(kind, str) or kind not in members:  # a list or dict is unhashable
             expected = ", ".join(map(repr, members))
             raise SchemaError(f"{where}/kind: expected one of {expected}, got {kind!r}")
         body = {k: v for k, v in obj.items() if k != "kind"}

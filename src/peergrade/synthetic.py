@@ -123,6 +123,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValidationError("scenario requires n >= 1 and m >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed {self.seed} must be >= 0")
 
 
 def default_scenario(seed: int = 0, n: int = 500, m: int = 500) -> ScenarioConfig:

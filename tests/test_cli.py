@@ -186,6 +186,43 @@ class TestSweepCommand:
         assert out1.read_text() == out2.read_text()
 
 
+    @pytest.mark.parametrize("param, value", [("k", 1.5), ("layers", 2.5)])
+    def test_fractional_integer_parameter_is_validation_error(self, tmp_path, capsys,
+                                                              param, value):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "schema_version": 1, "param": param, "grid": [value],
+            "base": {"preset": "default", "n": 25, "m": 25, "seed": 0},
+            "methods": ["average"],
+        }))
+        code = dispatch(["sweep", "--spec", str(spec), "--out", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "whole numbers" in err and "Traceback" not in err
+
+    def test_integral_float_is_accepted_and_echoed(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "schema_version": 1, "param": "k", "grid": [3.0],
+            "base": {"preset": "default", "n": 25, "m": 25, "seed": 0},
+            "methods": ["average"],
+            "split": {"train_fraction": 0.2, "n_splits": 1, "seed": 0},
+        }))
+        assert dispatch(["sweep", "--spec", str(spec), "--out", str(tmp_path / "s.csv")]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert rows and all(row.startswith("k,3.0,average,") for row in rows)
+
+    def test_malformed_jobs_env_var_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"schema_version": 1, "param": "k", "grid": [1]}))
+        monkeypatch.setenv("PEERGRADE_JOBS", "abc")
+        code = dispatch(["sweep", "--spec", str(spec), "--out", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "PEERGRADE_JOBS" in err and "'abc'" in err
+        assert not (tmp_path / "s.csv").exists()
+
+
 class TestImportCommand:
     def test_import_with_scaling(self, tmp_path, capsys):
         src = tmp_path / "raw"
@@ -269,6 +306,34 @@ class TestExitCodes:
         assert code == 4
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", [
+        "scenario-config", "train-config", "split-config", "generate-flag", "train-flag"])
+    def test_negative_seed_is_validation_error(self, tmp_path, bundle_dir, scenario_file,
+                                               split_file, train_file, capsys, command):
+        def with_negative_seed(path):
+            doc = json.loads(path.read_text())
+            path.write_text(json.dumps({**doc, "seed": -1}))
+            return str(path)
+
+        train = ["train", "--data", str(bundle_dir), "--out", str(tmp_path / "m.json")]
+        argv = {
+            "scenario-config": lambda: ["generate", "--config", with_negative_seed(scenario_file),
+                                        "--out", str(tmp_path / "b")],
+            "train-config": lambda: train + ["--train-config", with_negative_seed(train_file)],
+            "split-config": lambda: ["baseline", "--method", "average", "--data", str(bundle_dir),
+                                     "--split", with_negative_seed(split_file)],
+            "generate-flag": lambda: ["generate", "--config", str(scenario_file),
+                                      "--out", str(tmp_path / "b"), "--seed", "-3"],
+            "train-flag": lambda: train + ["--train-config", str(train_file), "--seed", "-3"],
+        }[command]()
+        capsys.readouterr()
+        code = dispatch(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "must be >= 0" in err and "Traceback" not in err
+
+
 class TestMalformedDocuments:
     @pytest.fixture()
     def model_file(self, tmp_path, bundle_dir, train_file, capsys):
@@ -325,6 +390,32 @@ class TestMalformedDocuments:
         err = capsys.readouterr().err
         assert code == 3
         assert "/epsilon: " in err and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("override, pointer", [
+        ({"preset": []}, "/preset"),
+        ({"assessment": {"kind": []}}, "/assessment/kind"),
+    ])
+    def test_unhashable_tag_is_validation_error(self, tmp_path, capsys, override, pointer):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"schema_version": 1, "n": 6, "m": 6, **override}))
+        code = dispatch(["generate", "--config", str(config), "--out", str(tmp_path / "b")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{pointer}: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("beta1", [-1.0, 1e308])
+    def test_diverging_optimizer_is_runtime_error(self, tmp_path, bundle_dir, capsys, beta1):
+        # beta1 = -1 zeroes the second step's bias correction; 1e308 overflows its power
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "epochs": 2, "dim": 2, "beta1": beta1}))
+        model = tmp_path / "m.json"
+        code = dispatch(["train", "--data", str(bundle_dir), "--train-config", str(cfg),
+                         "--out", str(model)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "non-finite" in err and "Traceback" not in err
+        assert not model.exists()
 
 
 class TestInvalidScenario:

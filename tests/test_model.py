@@ -270,15 +270,12 @@ class TestForward:
         params = init_params(TrainConfig(layers=2, dim=3), 2, rng)
         h0 = rng.normal(size=(prop.size, 2))
         _, cache = forward(params, prop, h0)
-        # a new feature object is propagated afresh, into the same cache
-        preds, again = forward(params, prop, 2.0 * h0, cache)
-        assert again is cache
-        assert preds.tobytes() == forward(params, prop, 2.0 * h0)[0].tobytes()
-        # another operator or other layer widths get a cache of their own
-        other = propagation_matrix(graph)
-        assert forward(params, other, h0, cache)[1] is not cache
+        # another feature object, operator or layer widths cannot use this cache
         wider = init_params(TrainConfig(layers=2, dim=4), 2, rng)
-        assert forward(wider, prop, h0, cache)[1] is not cache
+        for args in ((params, prop, h0.copy()), (params, propagation_matrix(graph), h0),
+                     (wider, prop, h0)):
+            with pytest.raises(ValidationError, match="forward cache"):
+                forward(*args, cache)
 
 
 class TestLoss:
