@@ -18,7 +18,7 @@ from . import baselines
 from .errors import PeergradeError, ValidationError
 from .graph import Dataset, GroundTruth, Split, propagation_matrix
 from .model import TrainConfig, initial_features, predict, train
-from .schema import SCHEMA_VERSION, canonical_json, to_doc
+from .schema import document_json, to_doc
 from .synthetic import (
     BiasReliabilityConfig,
     ErConfig,
@@ -108,17 +108,14 @@ class ExperimentReport:
     per_split: dict[str, list[float]]
     mean: dict[str, float]
     std: dict[str, float]
-    wall_clock_seconds: float
-
-    def document(self, include_timing: bool = True) -> dict:
-        doc = {"schema_version": SCHEMA_VERSION, "kind": "experiment-report", **to_doc(self)}
-        if not include_timing:
-            del doc["wall_clock_seconds"]
-        return doc
+    wall_clock_seconds: float = 0.0
 
     def canonical_json(self, include_timing: bool = False) -> str:
         """Deterministic serialization; timing is excluded by default."""
-        return canonical_json(self.document(include_timing=include_timing))
+        body = to_doc(self)
+        if not include_timing:
+            del body["wall_clock_seconds"]
+        return document_json("experiment-report", body)
 
 
 def run_experiment(
@@ -155,7 +152,7 @@ def run_experiment(
     config_echo["methods"] = list(methods)
 
     splits = labelled_splits(dataset.truth, split_cfg)
-    prop = propagation_matrix(dataset.graph)
+    prop = propagation_matrix(dataset.graph) if METHOD_GCN in methods else None
     per_split: dict[str, list[float]] = {name: [] for name in methods}
 
     for index, split in enumerate(splits):

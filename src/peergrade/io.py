@@ -22,12 +22,13 @@ from .graph import Dataset, GroundTruth, _outside_unit, _raise_first, _repeated,
 from .harness import ExperimentReport, SplitConfig, SweepSpec
 from .model import TrainConfig
 from .schema import (
-    SCHEMA_VERSION,
-    canonical_json,
+    canonical_json,  # re-exported: the CLI writes its stdout with it
+    document_body,
+    document_json,
     expect,
     expect_list,
     from_doc,
-    read_json_document,
+    read_document,
     reject_unknown,
 )
 from .synthetic import ScenarioConfig, default_scenario, strategic_scenario
@@ -80,15 +81,9 @@ def save_dataset(dataset: Dataset, path) -> None:
     _write_csv(out / "truth.csv", TRUTH_HEADER,
                [graph.item_ids[k] for k in known.tolist()], _text(dataset.truth.v[known]))
 
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "dataset-bundle",
-        "n": graph.n,
-        "m": graph.m,
-        "user_ids": list(graph.user_ids),
-        "item_ids": list(graph.item_ids),
-    }
-    (out / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
+    manifest = {"n": graph.n, "m": graph.m,
+                "user_ids": list(graph.user_ids), "item_ids": list(graph.item_ids)}
+    (out / "manifest.json").write_text(document_json("dataset-bundle", manifest), encoding="utf-8")
 
 
 def _utf8_error(path: Path) -> SchemaError:
@@ -170,8 +165,8 @@ def load_dataset(path, scale_max: Optional[float] = None) -> Dataset:
     declared_items: list[str] = []
     manifest_path = root / "manifest.json"
     if manifest_path.exists():
-        manifest = read_json_document(manifest_path, expected_kind="dataset-bundle")
-        reject_unknown(manifest, {"schema_version", "kind", "n", "m", "user_ids", "item_ids"}, "/")
+        manifest = read_document(manifest_path, "dataset-bundle")
+        reject_unknown(manifest, {"n", "m", "user_ids", "item_ids"}, "/")
         declared_users = [str(u) for u in expect(manifest.get("user_ids", []), list, "/user_ids")]
         declared_items = [str(i) for i in expect(manifest.get("item_ids", []), list, "/item_ids")]
         for key, ids, name in (("n", declared_users, "user_ids"), ("m", declared_items, "item_ids")):
@@ -209,40 +204,38 @@ def load_dataset(path, scale_max: Optional[float] = None) -> Dataset:
 
 # --- config documents ---------------------------------------------------------
 
-ENVELOPE = ("schema_version", "kind")
 PRESETS = {"default": default_scenario, "strategic": strategic_scenario}
 
 
-def _config(cls, obj, where: str, base=None, envelope=ENVELOPE):
-    """``from_doc`` on ``obj`` minus its document envelope keys."""
-    expect(obj, dict, where)
-    return from_doc(cls, {k: v for k, v in obj.items() if k not in envelope}, where, base)
+def _config(cls, obj, where: str):
+    """``from_doc`` on ``obj`` minus any envelope keys it carries."""
+    return from_doc(cls, document_body(obj, where), where)
 
 
 def parse_scenario_config(obj: dict, where: str = "") -> ScenarioConfig:
     """Parse a scenario object: optional preset plus field overrides."""
-    preset = expect(expect(obj, dict, where).get("preset", "default"), str, f"{where}/preset")
+    body = document_body(obj, where)
+    preset = expect(body.pop("preset", "default"), str, f"{where}/preset")
     if preset not in PRESETS:
         raise SchemaError(f"{where}/preset: expected 'default' or 'strategic', got {preset!r}")
-    return _config(ScenarioConfig, obj, where, PRESETS[preset](), (*ENVELOPE, "preset"))
+    return from_doc(ScenarioConfig, body, where, PRESETS[preset]())
 
 
 def load_scenario_config(path) -> ScenarioConfig:
-    return parse_scenario_config(read_json_document(path, expected_kind="scenario-config"))
+    return parse_scenario_config(read_document(path, "scenario-config"))
 
 
 def load_train_config(path) -> TrainConfig:
-    return _config(TrainConfig, read_json_document(path, expected_kind="train-config"), "")
+    return from_doc(TrainConfig, read_document(path, "train-config"))
 
 
 def load_split_config(path) -> SplitConfig:
-    return _config(SplitConfig, read_json_document(path, expected_kind="split-config"), "")
+    return from_doc(SplitConfig, read_document(path, "split-config"))
 
 
 def load_sweep_document(path) -> tuple[SweepSpec, list[str], SplitConfig, TrainConfig]:
-    doc = read_json_document(path, expected_kind="sweep-spec")
-    allowed = {"schema_version", "kind", "param", "grid", "base", "methods", "split", "train"}
-    reject_unknown(doc, allowed, "/")
+    doc = read_document(path, "sweep-spec")
+    reject_unknown(doc, {"param", "grid", "base", "methods", "split", "train"}, "/")
     param = expect(doc.get("param"), str, "/param")
     grid = doc.get("grid")
     expect_list(grid, float, "/grid")  # checked only: the CSV echoes each value as given
@@ -262,5 +255,4 @@ def write_results(report: ExperimentReport, path) -> None:
 
 
 def read_results(path) -> ExperimentReport:
-    doc = read_json_document(path, expected_kind="experiment-report")
-    return _config(ExperimentReport, {"wall_clock_seconds": 0.0, **doc}, "")
+    return from_doc(ExperimentReport, read_document(path, "experiment-report"))

@@ -24,16 +24,7 @@ from scipy.special import expit as sigmoid
 
 from .errors import SchemaError, TrainingDivergedError, ValidationError
 from .graph import Dataset, GroundTruth, PropagationMatrix, propagation_matrix
-from .schema import (
-    SCHEMA_VERSION,
-    canonical_json,
-    expect,
-    expect_list,
-    from_doc,
-    read_json_document,
-    reject_unknown,
-    to_doc,
-)
+from .schema import document_json, from_doc, read_document, to_doc
 
 FEATURE_KINDS = ("ones", "one-hot")
 
@@ -174,12 +165,6 @@ def forward(
         nh = cache.propagated[layer]
         if sp.issparse(nh):
             cache.z[layer][...] = nh @ W
-        elif W.shape[0] == 1:
-            # One feature (``ones``): each entry is one product, cheaper as a
-            # broadcast than a dgemm.  Adding 0.0 turns -0.0 into +0.0, as the
-            # zeroed BLAS accumulator does, so the bits match the matmul.
-            np.multiply(nh, W, out=cache.z[layer])
-            cache.z[layer] += 0.0
         else:
             np.matmul(nh, W, out=cache.z[layer])
         _elu(cache.z[layer], out=cache.h[layer + 1])
@@ -322,46 +307,45 @@ def predict(
 
 # --- checkpoint serialization ------------------------------------------------
 
-def checkpoint_document(params: ModelParams, cfg: TrainConfig) -> dict:
-    """JSON-ready checkpoint: config echo plus row-major flattened weights."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "model-checkpoint",
-        "train_config": to_doc(cfg),
-        "d0": int(params.W[0].shape[0]),
-        "weights": {
-            "W": [w.reshape(-1).tolist() for w in params.W],
-            "w_out": params.w_out.tolist(),
-            "b_out": params.b_out,
-        },
-    }
+@dataclass(frozen=True)
+class _Weights:
+    W: list[list[float]]  # row-major flattened, one list per layer
+    w_out: list[float]
+    b_out: float
+
+
+@dataclass(frozen=True)
+class _Checkpoint:
+    """A ``model-checkpoint`` document: config echo, input width and weights."""
+
+    train_config: TrainConfig
+    d0: int
+    weights: _Weights
 
 
 def save_model(params: ModelParams, cfg: TrainConfig, path) -> None:
-    Path(path).write_text(canonical_json(checkpoint_document(params, cfg)), encoding="utf-8")
+    weights = _Weights(W=[w.reshape(-1).tolist() for w in params.W],
+                       w_out=params.w_out.tolist(), b_out=params.b_out)
+    doc = to_doc(_Checkpoint(train_config=cfg, d0=int(params.W[0].shape[0]), weights=weights))
+    Path(path).write_text(document_json("model-checkpoint", doc), encoding="utf-8")
 
 
 def load_model(path) -> tuple[ModelParams, TrainConfig]:
-    doc = read_json_document(path, expected_kind="model-checkpoint")
-    reject_unknown(doc, {"schema_version", "kind", "train_config", "d0", "weights"}, "/")
-    cfg = from_doc(TrainConfig, doc.get("train_config"), "/train_config")
-    d0 = expect(doc.get("d0"), int, "/d0")
-    weights = expect(doc.get("weights"), dict, "/weights")
-    reject_unknown(weights, {"W", "w_out", "b_out"}, "/weights")
+    doc = from_doc(_Checkpoint, read_document(path, "model-checkpoint"))
+    cfg, weights = doc.train_config, doc.weights
 
     def array(values, shape, where):
-        arr = np.asarray(expect_list(values, float, where), dtype=np.float64)
+        arr = np.asarray(values, dtype=np.float64)
         if arr.size != np.prod(shape):
             raise SchemaError(f"{where}: {arr.size} weights do not fit shape {shape}")
         return arr.reshape(shape)
 
-    flat = expect(weights.get("W"), list, "/weights/W")
-    if len(flat) != cfg.layers:
-        raise SchemaError(f"/weights/W: {len(flat)} weight matrices, config expects {cfg.layers}")
+    if len(weights.W) != cfg.layers:
+        raise SchemaError(f"/weights/W: {len(weights.W)} weight matrices, config expects {cfg.layers}")
     params = ModelParams(
-        W=tuple(array(w, (d0 if layer == 0 else cfg.dim, cfg.dim), f"/weights/W/{layer}")
-                for layer, w in enumerate(flat)),
-        w_out=array(weights.get("w_out"), (cfg.dim,), "/weights/w_out"),
-        b_out=expect(weights.get("b_out"), float, "/weights/b_out"),
+        W=tuple(array(w, (doc.d0 if layer == 0 else cfg.dim, cfg.dim), f"/weights/W/{layer}")
+                for layer, w in enumerate(weights.W)),
+        w_out=array(weights.w_out, (cfg.dim,), "/weights/w_out"),
+        b_out=weights.b_out,
     )
     return params, cfg

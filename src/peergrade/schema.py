@@ -9,6 +9,10 @@ object, and a ``Union`` of dataclasses as an object tagged by each member's
 ``KIND`` (``None`` is ``{"kind": "none"}``).  A wrong key or type is a
 :class:`SchemaError` naming the JSON pointer of the offending value; range
 checks stay in each dataclass's ``__post_init__``.
+
+Every document file carries ``"schema_version": 1`` and its ``kind``; that
+envelope is written by :func:`document_json` and checked and stripped by
+:func:`read_document`, and no other module spells it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .errors import SchemaError, ValidationError
 
@@ -30,7 +34,18 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def read_json_document(path, expected_kind: Optional[str] = None) -> dict:
+def document_json(kind: str, body: dict) -> str:
+    """Canonical JSON of a ``kind`` document: ``body`` under the version/kind envelope."""
+    return canonical_json({"schema_version": SCHEMA_VERSION, "kind": kind, **body})
+
+
+def document_body(obj, where: str = "") -> dict:
+    """``obj`` checked as an object, minus the envelope keys (which nested objects may carry)."""
+    return {k: v for k, v in expect(obj, dict, where).items() if k not in ("schema_version", "kind")}
+
+
+def read_document(path, kind: str) -> dict:
+    """The body of the document at ``path``; its version is checked, and its kind when it names one."""
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"missing required file {p}")
@@ -49,9 +64,9 @@ def read_json_document(path, expected_kind: Optional[str] = None) -> dict:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"{p}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    if expected_kind is not None and doc.get("kind", expected_kind) != expected_kind:
-        raise SchemaError(f"{p}: expected a {expected_kind!r} document, got {doc.get('kind')!r}")
-    return doc
+    if doc.get("kind", kind) != kind:
+        raise SchemaError(f"{p}: expected a {kind!r} document, got {doc.get('kind')!r}")
+    return document_body(doc)
 
 
 def reject_unknown(obj: dict, allowed, where: str) -> None:
@@ -108,6 +123,8 @@ def from_doc(cls, obj, where: str = "", base=None):
 
 
 def _read(typ, obj, where: str, base):
+    if typ in (int, float, str):  # before get_origin: the leaves of long weight lists
+        return expect(obj, typ, where)
     origin, args = get_origin(typ), get_args(typ)
     if origin is Union:
         members = {getattr(m, "KIND", "none"): m for m in args}  # NoneType has no KIND

@@ -24,7 +24,7 @@ from peergrade import (
     save_dataset,
 )
 from peergrade.io import ASSESSMENT_HEADER, OWNERSHIP_HEADER, SOCIAL_HEADER, TRUTH_HEADER
-from peergrade.schema import SCHEMA_VERSION, canonical_json, expect, read_json_document, reject_unknown
+from peergrade.schema import SCHEMA_VERSION, canonical_json, expect, read_document, reject_unknown
 
 
 # --- the per-row reference ------------------------------------------------------
@@ -202,8 +202,8 @@ def reference_load_dataset(path, scale_max=None):
     declared_users, declared_items = [], []
     manifest_path = root / "manifest.json"
     if manifest_path.exists():
-        manifest = read_json_document(manifest_path, expected_kind="dataset-bundle")
-        reject_unknown(manifest, {"schema_version", "kind", "n", "m", "user_ids", "item_ids"}, "/")
+        manifest = read_document(manifest_path, "dataset-bundle")
+        reject_unknown(manifest, {"n", "m", "user_ids", "item_ids"}, "/")
         declared_users = [str(u) for u in expect(manifest.get("user_ids", []), list, "/user_ids")]
         declared_items = [str(i) for i in expect(manifest.get("item_ids", []), list, "/item_ids")]
 

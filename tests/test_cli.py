@@ -348,6 +348,8 @@ class TestMalformedDocuments:
         (lambda doc: doc["weights"].update(W=5), "/weights/W"),
         (lambda doc: doc["weights"]["W"][0].__setitem__(0, "x"), "/weights/W/0/0"),
         (lambda doc: doc["weights"].pop("b_out"), "/weights/b_out"),
+        (lambda doc: doc.pop("train_config"), "/train_config"),
+        (lambda doc: doc["weights"].update(bias=0.0), "/weights"),
     ])
     def test_malformed_checkpoint_is_validation_error(
             self, model_file, bundle_dir, split_file, capsys, edit, pointer):

@@ -1,6 +1,7 @@
 """The package namespace: what ``import peergrade`` and ``import *`` expose."""
 
 import types
+from pathlib import Path
 
 import peergrade
 
@@ -23,3 +24,12 @@ def test_star_import_binds_no_module():
     assert namespace and not any(isinstance(value, types.ModuleType)
                                  for value in namespace.values())
     assert set(namespace) == set(peergrade.__all__)
+
+
+def test_only_the_schema_module_spells_the_document_envelope():
+    package = Path(peergrade.__file__).parent
+    spelled = sorted(path.name for path in package.glob("*.py")
+                     if path.name != "schema.py"
+                     and any(word in path.read_text(encoding="utf-8")
+                             for word in ("schema_version", "SCHEMA_VERSION")))
+    assert spelled == []
