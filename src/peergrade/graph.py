@@ -16,7 +16,7 @@ explicit zero contributes to a node's degree but not to the weighted sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -145,14 +145,38 @@ def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
     return mat
 
 
-def _columns(entries: Iterable[Triple]) -> tuple[list, list, list]:
-    """The three columns of ``entries``, holding the objects given."""
+class _Columns(NamedTuple):
+    """One relation as the bundle loader reads it: two ``str`` id lists, float64 weights."""
+
+    first: list[str]
+    second: list[str]
+    weights: np.ndarray
+
+
+def _columns(entries: Iterable[Triple]) -> tuple[Sequence, Sequence, Sequence]:
+    """The three columns of ``entries``, holding the objects given; a ``_Columns`` as is."""
+    if isinstance(entries, _Columns):
+        return entries
     entries = list(entries)
     return ([u for u, _, _ in entries], [i for _, i, _ in entries], [w for _, _, w in entries])
 
 
+def _str_ids(columns: Sequence) -> Sequence[list[str]]:
+    """The two id columns as ``str``; a ``_Columns`` holds them so already."""
+    if isinstance(columns, _Columns):
+        return columns[:2]
+    return [list(map(str, ids)) for ids in columns[:2]]
+
+
 def _weights(values: Sequence) -> np.ndarray:
+    if isinstance(values, np.ndarray):  # a _Columns' weights
+        return values
     return np.fromiter(map(float, values), np.float64, len(values))
+
+
+def _shown(values: Sequence, k: int):
+    """Weight ``k`` as the caller gave it; a float64 one as a Python float."""
+    return values[k].item() if isinstance(values, np.ndarray) else values[k]
 
 
 def _indices(index: dict[str, int], ids: Sequence[str]) -> np.ndarray:
@@ -201,10 +225,8 @@ def build_graph(
 
     ``users`` / ``items`` may declare identifiers that appear in no edge.
     """
-    (a_u, a_i, a_w), (o_u, o_i, o_w), (s_a, s_b, s_w) = (
-        _columns(entries) for entries in (assessments, ownerships, social))
-    a_users, a_items, o_users, o_items, s_a, s_b = (
-        list(map(str, ids)) for ids in (a_u, a_i, o_u, o_i, s_a, s_b))
+    given = [_columns(entries) for entries in (assessments, ownerships, social)]
+    (a_users, a_items), (o_users, o_items), (s_a, s_b) = map(_str_ids, given)
     uidx, user_ids = _index_map({*users, *a_users, *o_users, *s_a, *s_b})
     iidx, item_ids = _index_map({*items, *a_items, *o_items})
     n, m = len(user_ids), len(item_ids)
@@ -216,22 +238,24 @@ def build_graph(
             (_repeated(rows * m + cols), lambda k: DuplicateEntryError(
                 f"duplicate {kind} entry for {(names[0][k], names[1][k])!r}")),
             (_outside_unit(w), lambda k: ValidationError(
-                f"{kind} weight out of range [0, 1] in entry {tuple(c[k] for c in given)!r}")),
+                f"{kind} weight out of range [0, 1] in entry "
+                f"{(given[0][k], given[1][k], _shown(given[2], k))!r}")),
         )
         return _csr(rows, cols, w, (n, m))
 
-    A = bipartite("assessment", (a_u, a_i, a_w), (a_users, a_items))
-    O = bipartite("ownership", (o_u, o_i, o_w), (o_users, o_items))
+    A = bipartite("assessment", given[0], (a_users, a_items))
+    O = bipartite("ownership", given[1], (o_users, o_items))
 
+    s_w = given[2][2]
     a, b, w = _indices(uidx, s_a), _indices(uidx, s_b), _weights(s_w)
     lo, hi = np.minimum(a, b), np.maximum(a, b)  # index order is identifier order
     _raise_first(
         (a == b, lambda k: ValidationError(
-            f"self-edge in social list: {(s_a[k], s_b[k], s_w[k])!r}")),
+            f"self-edge in social list: {(s_a[k], s_b[k], _shown(s_w, k))!r}")),
         (_repeated(lo * n + hi), lambda k: DuplicateEntryError(
             f"duplicate social entry for {(user_ids[lo[k]], user_ids[hi[k]])!r}")),
         (_outside_unit(w), lambda k: ValidationError(
-            f"social weight out of range [0, 1] in entry {(s_a[k], s_b[k], s_w[k])!r}")),
+            f"social weight out of range [0, 1] in entry {(s_a[k], s_b[k], _shown(s_w, k))!r}")),
     )
     S = _csr(np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w]), (n, n))
 

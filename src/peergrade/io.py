@@ -11,14 +11,24 @@ separators, newline-terminated, unknown fields rejected.
 from __future__ import annotations
 
 import csv
+import re
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Optional
+from types import SimpleNamespace
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-from .graph import Dataset, GroundTruth, _outside_unit, _raise_first, _repeated, build_graph
+from .graph import (
+    Dataset,
+    GroundTruth,
+    _Columns,
+    _outside_unit,
+    _raise_first,
+    _repeated,
+    build_graph,
+)
 from .harness import ExperimentReport, SplitConfig, SweepSpec
 from .model import TrainConfig
 from .schema import (
@@ -39,15 +49,15 @@ SOCIAL_HEADER = ["user_a", "user_b", "weight"]
 TRUTH_HEADER = ["item_id", "value"]
 
 
-def _text(values: np.ndarray) -> list[str]:
-    return [f"{x:.17g}" for x in values.tolist()]
+def _encoded(ids: Sequence[str]) -> list[str]:
+    """Each id as ``csv.writer`` writes it inside a row, quoted where the dialect says."""
+    writer = csv.writer(SimpleNamespace(write=str))  # writerow returns the row's text
+    return [writer.writerow((s, ""))[:-3] for s in ids]  # minus the ",\r\n" after it
 
 
-def _write_csv(path: Path, header: list[str], *columns) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+def _write_csv(path: Path, header: list[str], lines: Iterable[str]) -> None:
+    """Write ``header`` and the ``\r\n``-terminated ``lines``, in one piece."""
+    path.write_text(",".join(header) + "\r\n" + "".join(lines), encoding="utf-8", newline="")
 
 
 # --- dataset bundles ----------------------------------------------------------
@@ -57,29 +67,31 @@ def save_dataset(dataset: Dataset, path) -> None:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     graph = dataset.graph
+    users, items = _encoded(graph.user_ids), _encoded(graph.item_ids)
 
     def write_relation(name, header, col_ids, rows, cols, vals) -> None:
         order = np.lexsort((cols, rows))
-        _write_csv(out / name, header,
-                   [graph.user_ids[k] for k in rows[order].tolist()],
-                   [col_ids[k] for k in cols[order].tolist()], _text(vals[order]))
+        _write_csv(out / name, header, (
+            f"{users[a]},{col_ids[b]},{w:.17g}\r\n"
+            for a, b, w in zip(rows[order].tolist(), cols[order].tolist(), vals[order].tolist())))
 
     ac = graph.A.tocoo()
-    write_relation("assessments.csv", ASSESSMENT_HEADER, graph.item_ids, ac.row, ac.col, ac.data)
+    write_relation("assessments.csv", ASSESSMENT_HEADER, items, ac.row, ac.col, ac.data)
 
     oc = graph.O.tocoo()
     if oc.nnz:
-        write_relation("ownership.csv", OWNERSHIP_HEADER, graph.item_ids, oc.row, oc.col, oc.data)
+        write_relation("ownership.csv", OWNERSHIP_HEADER, items, oc.row, oc.col, oc.data)
 
     sc = graph.S.tocoo()
     if sc.nnz:
         upper = sc.row < sc.col  # undirected edges written once
-        write_relation("social.csv", SOCIAL_HEADER, graph.user_ids,
+        write_relation("social.csv", SOCIAL_HEADER, users,
                        sc.row[upper], sc.col[upper], sc.data[upper])
 
     known = np.flatnonzero(dataset.truth.mask)
-    _write_csv(out / "truth.csv", TRUTH_HEADER,
-               [graph.item_ids[k] for k in known.tolist()], _text(dataset.truth.v[known]))
+    _write_csv(out / "truth.csv", TRUTH_HEADER, (
+        f"{items[j]},{v:.17g}\r\n"
+        for j, v in zip(known.tolist(), dataset.truth.v[known].tolist())))
 
     manifest = {"n": graph.n, "m": graph.m,
                 "user_ids": list(graph.user_ids), "item_ids": list(graph.item_ids)}
@@ -97,18 +109,69 @@ def _utf8_error(path: Path) -> SchemaError:
     return SchemaError(f"{path}: not UTF-8 text")  # changed while being read
 
 
+def _splits_evenly(body: bytes, width: int) -> bool:
+    """Whether each line of ``body`` ends its ``width``-th field, none over the field limit.
+
+    The limit counts characters, so a field of more bytes than that is refused
+    even where ``csv.reader`` would take it.
+    """
+    raw = np.frombuffer(body, np.uint8)
+    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))  # where each field ends
+    if ends.size % width:
+        return False
+    if ends.size and np.diff(ends).max(initial=ends[0] + 1) > csv.field_size_limit() + 1:
+        return False
+    line = np.frombuffer(b"," * (width - 1) + b"\n", np.uint8)
+    return not (raw[ends].reshape(-1, width) != line).any()
+
+
+def _flat_columns(data: bytes, header: list[str]) -> Optional[list]:
+    """:func:`_read_csv`'s columns of a file that needs no quoting rules, else None.
+
+    That is a file with no ``"``, no NUL and no ``\r`` outside ``\r\n``,
+    the exact header line, ``width - 1`` commas on every other non-blank
+    line, no field over ``csv.field_size_limit()`` and a number in every last
+    field.  ``csv.reader`` splits such a file at each comma and line end, so
+    one ``split`` of the whole text gives the same fields.
+    """
+    if b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    head, _, body = data.partition(b"\n")
+    if head.removesuffix(b"\r") != ",".join(header).encode():
+        return None
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    width = len(header)
+    if not _splits_evenly(body, width):
+        body = re.sub(rb"(?m)^\r?\n", b"", body)  # csv.reader skips blank lines
+        if not _splits_evenly(body, width):
+            return None
+    try:
+        fields = body.decode("utf-8").replace("\r\n", ",").replace("\n", ",").split(",")[:-1]
+        values = fields[width - 1::width]
+        weights = np.fromiter(map(float, values), np.float64, len(values))
+    except (UnicodeDecodeError, ValueError):
+        return None
+    return [fields[k::width] for k in range(width - 1)] + [weights]
+
+
 def _read_csv(path: Path, header: list[str], required: bool) -> list:
     """Columns of a CSV: a list of strings per field, the last field as float64.
 
-    Blank lines are skipped.  The line named by a row's error counts CSV
-    records, the header being 1; that of an undecodable byte or a
-    ``csv.Error`` counts physical lines.
+    A file that needs no quoting rules is split in one piece by
+    :func:`_flat_columns`; any other goes through ``csv.reader``, which
+    raises every error.  Blank lines are skipped.  The line named by a row's
+    error counts CSV records, the header being 1; that of an undecodable
+    byte or a ``csv.Error`` counts physical lines.
     """
     width = len(header)
     if not path.exists():
         if required:
             raise ValidationError(f"missing required file {path}")
         return [[] for _ in header[1:]] + [np.empty(0)]
+    columns = _flat_columns(path.read_bytes(), header)
+    if columns is not None:
+        return columns
     try:
         with path.open("r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -142,12 +205,6 @@ def _read_csv(path: Path, header: list[str], required: bool) -> list:
     return columns[:-1] + [values]
 
 
-def _triples(columns: list) -> Iterable[tuple]:
-    """The rows of :func:`_read_csv`'s columns, as :func:`build_graph` takes them."""
-    *ids, weights = columns
-    return zip(*ids, weights.tolist())
-
-
 def load_dataset(path, scale_max: Optional[float] = None) -> Dataset:
     """Load a bundle; with ``scale_max`` all grades and truths are divided by it."""
     root = Path(path)
@@ -156,7 +213,7 @@ def load_dataset(path, scale_max: Optional[float] = None) -> Dataset:
     if scale_max is not None and scale_max <= 0:
         raise ValidationError(f"scale maximum must be positive, got {scale_max}")
 
-    assessments = _read_csv(root / "assessments.csv", ASSESSMENT_HEADER, required=True)
+    graders, graded, grades = _read_csv(root / "assessments.csv", ASSESSMENT_HEADER, required=True)
     ownership = _read_csv(root / "ownership.csv", OWNERSHIP_HEADER, required=False)
     social = _read_csv(root / "social.csv", SOCIAL_HEADER, required=False)
     truth_items, values = _read_csv(root / "truth.csv", TRUTH_HEADER, required=True)
@@ -175,13 +232,13 @@ def load_dataset(path, scale_max: Optional[float] = None) -> Dataset:
                                   f"{len(ids)} entries of /{name}")
 
     if scale_max is not None:
-        assessments[-1] = assessments[-1] / scale_max
+        grades = grades / scale_max
         values = values / scale_max
 
     graph = build_graph(
-        assessments=_triples(assessments),
-        ownerships=_triples(ownership),
-        social=_triples(social),
+        assessments=_Columns(graders, graded, grades),
+        ownerships=_Columns(*ownership),
+        social=_Columns(*social),
         users=declared_users,
         items=declared_items,
     )

@@ -48,6 +48,11 @@ class TrainConfig:
             raise ValidationError("layers, dim and epochs must all be >= 1")
         if self.learning_rate <= 0:
             raise ValidationError("learning_rate must be > 0")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.epsilon > 0:
+            raise ValidationError(f"epsilon must be > 0, got {self.epsilon}")
         if self.seed < 0:
             raise ValidationError(f"seed {self.seed} must be >= 0")
         if self.features not in FEATURE_KINDS:

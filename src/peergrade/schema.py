@@ -18,6 +18,7 @@ envelope is written by :func:`document_json` and checked and stripped by
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -115,15 +116,21 @@ def from_doc(cls, obj, where: str = "", base=None):
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         if required and base is None and f.name not in obj:
             raise SchemaError(f"{where}/{f.name}: missing required key")
-    hints = get_type_hints(cls)
+    hints = _hints(cls)
     values = {f.name: _read(hints[f.name], obj[f.name], f"{where}/{f.name}",
                             getattr(base, f.name, None))
               for f in fields if f.name in obj}
     return dataclasses.replace(base, **values) if base is not None else cls(**values)
 
 
+@functools.cache
+def _hints(cls) -> dict:
+    """``cls``'s type hints, evaluated once per class."""
+    return get_type_hints(cls)
+
+
 def _read(typ, obj, where: str, base):
-    if typ in (int, float, str):  # before get_origin: the leaves of long weight lists
+    if typ in (int, float, str):  # before get_origin, which is slower
         return expect(obj, typ, where)
     origin, args = get_origin(typ), get_args(typ)
     if origin is Union:
@@ -142,6 +149,9 @@ def _read(typ, obj, where: str, base):
             raise SchemaError(f"{where}: expected a {len(args)}-element list")
         return tuple(_read(t, x, f"{where}/{i}", None) for i, (t, x) in enumerate(zip(args, obj)))
     if origin in (tuple, list):  # variable length: tuple[T, ...] or list[T]
+        if args[0] in (int, float, str) and isinstance(obj, list) \
+                and all(type(x) is args[0] for x in obj):  # leaves that need no conversion
+            return origin(obj)
         return origin(_read(args[0], x, f"{where}/{i}", None)
                       for i, x in enumerate(expect(obj, list, where)))
     if origin is dict:

@@ -406,17 +406,35 @@ class TestMalformedDocuments:
         assert code == 3
         assert f"{pointer}: " in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("beta1", [-1.0, 1e308])
-    def test_diverging_optimizer_is_runtime_error(self, tmp_path, bundle_dir, capsys, beta1):
-        # beta1 = -1 zeroes the second step's bias correction; 1e308 overflows its power
+    @pytest.mark.parametrize("learning_rate, epochs", [(1e308, 3), (1.7976931348623157e308, 2)])
+    def test_diverging_optimizer_is_runtime_error(self, tmp_path, bundle_dir, capsys,
+                                                  learning_rate, epochs):
+        # every loss is finite (the sigmoid saturates), but the last step overflows a weight
         cfg = tmp_path / "train.json"
-        cfg.write_text(json.dumps({"schema_version": 1, "epochs": 2, "dim": 2, "beta1": beta1}))
+        cfg.write_text(json.dumps({"schema_version": 1, "epochs": epochs, "dim": 2,
+                                   "learning_rate": learning_rate}))
         model = tmp_path / "m.json"
         code = dispatch(["train", "--data", str(bundle_dir), "--train-config", str(cfg),
                          "--out", str(model)])
         err = capsys.readouterr().err
         assert code == 4
-        assert "non-finite" in err and "Traceback" not in err
+        assert f"non-finite training loss nan at epoch {epochs}" in err and "Traceback" not in err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("beta1", -0.1), ("beta1", 1.0), ("beta1", 2.0), ("beta2", -0.1), ("beta2", 1.0),
+        ("epsilon", 0.0), ("epsilon", -1e-3),
+    ])
+    def test_adam_setting_out_of_range_is_validation_error(self, tmp_path, bundle_dir, capsys,
+                                                           key, value):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "epochs": 2, "dim": 2, key: value}))
+        model = tmp_path / "m.json"
+        code = dispatch(["train", "--data", str(bundle_dir), "--train-config", str(cfg),
+                         "--out", str(model)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{key} must be " in err and "Traceback" not in err
         assert not model.exists()
 
 
