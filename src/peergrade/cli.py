@@ -51,12 +51,9 @@ def _parse_scale(text: str) -> float:
     if not text.startswith("max="):
         raise ValidationError(f"--scale expects max=<value>, got {text!r}")
     try:
-        value = float(text[4:])
+        return float(text[4:])  # load_dataset checks that it is finite and positive
     except ValueError:
         raise ValidationError(f"--scale expects a numeric maximum, got {text!r}") from None
-    if value <= 0:
-        raise ValidationError(f"--scale maximum must be positive, got {value}")
-    return value
 
 
 def _jobs(text: str) -> int:

@@ -288,6 +288,6 @@ def run_sweep(
     if jobs <= 1 or len(tasks) == 1:
         points = [_run_point(t) for t in tasks]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             points = list(pool.map(_run_point, tasks))
     return SweepResult(param=spec.param, points=points)

@@ -11,11 +11,13 @@ separators, newline-terminated, unknown fields rejected.
 from __future__ import annotations
 
 import csv
+import io
 import re
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,10 +38,9 @@ from .schema import (
     document_body,
     document_json,
     expect,
-    expect_list,
     from_doc,
     read_document,
-    reject_unknown,
+    to_doc,
 )
 from .synthetic import ScenarioConfig, default_scenario, strategic_scenario
 
@@ -61,6 +62,14 @@ def _write_csv(path: Path, header: list[str], lines: Iterable[str]) -> None:
 
 
 # --- dataset bundles ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Manifest:
+    user_ids: list = field(default_factory=list)  # the node-id universe, entries taken with str()
+    item_ids: list = field(default_factory=list)
+    n: Optional[int] = None  # when given, the number of distinct user_ids
+    m: Optional[int] = None
+
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write a bundle such that :func:`load_dataset` restores it exactly."""
@@ -93,20 +102,8 @@ def save_dataset(dataset: Dataset, path) -> None:
         f"{items[j]},{v:.17g}\r\n"
         for j, v in zip(known.tolist(), dataset.truth.v[known].tolist())))
 
-    manifest = {"n": graph.n, "m": graph.m,
-                "user_ids": list(graph.user_ids), "item_ids": list(graph.item_ids)}
+    manifest = to_doc(_Manifest(graph.user_ids, graph.item_ids, graph.n, graph.m))
     (out / "manifest.json").write_text(document_json("dataset-bundle", manifest), encoding="utf-8")
-
-
-def _utf8_error(path: Path) -> SchemaError:
-    """The error for a file that is not UTF-8, naming the line of its first bad byte."""
-    data = path.read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        return SchemaError(f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})")
-    return SchemaError(f"{path}: not UTF-8 text")  # changed while being read
 
 
 def _splits_evenly(body: bytes, width: int) -> bool:
@@ -158,31 +155,32 @@ def _flat_columns(data: bytes, header: list[str]) -> Optional[list]:
 def _read_csv(path: Path, header: list[str], required: bool) -> list:
     """Columns of a CSV: a list of strings per field, the last field as float64.
 
-    A file that needs no quoting rules is split in one piece by
-    :func:`_flat_columns`; any other goes through ``csv.reader``, which
-    raises every error.  Blank lines are skipped.  The line named by a row's
-    error counts CSV records, the header being 1; that of an undecodable
-    byte or a ``csv.Error`` counts physical lines.
+    The file is read once.  One that needs no quoting rules is split by
+    :func:`_flat_columns`; any other is decoded whole (a byte that is not UTF-8
+    is its first error) and goes through ``csv.reader``, which raises the rest.
+    Blank lines are skipped.  A row's error line counts CSV records, the header
+    being 1; that of an undecodable byte or a ``csv.Error`` counts physical lines.
     """
     width = len(header)
     if not path.exists():
         if required:
             raise ValidationError(f"missing required file {path}")
         return [[] for _ in header[1:]] + [np.empty(0)]
-    columns = _flat_columns(path.read_bytes(), header)
+    data = path.read_bytes()
+    columns = _flat_columns(data, header)
     if columns is not None:
         return columns
     try:
-        with path.open("r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            got = next(reader, None)
-            if got is None:
-                raise SchemaError(f"{path}: empty file, expected header {','.join(header)}")
-            if got != header:
-                raise SchemaError(f"{path}: expected header {','.join(header)}, got {','.join(got)}")
-            rows = list(reader)
-    except UnicodeDecodeError:
-        raise _utf8_error(path) from None
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        got = next(reader, None)
+        if got is None:
+            raise SchemaError(f"{path}: empty file, expected header {','.join(header)}")
+        if got != header:
+            raise SchemaError(f"{path}: expected header {','.join(header)}, got {','.join(got)}")
+        rows = list(reader)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
 
@@ -207,29 +205,30 @@ def _read_csv(path: Path, header: list[str], required: bool) -> list:
 
 def load_dataset(path, scale_max: Optional[float] = None) -> Dataset:
     """Load a bundle; with ``scale_max`` all grades and truths are divided by it."""
+    if scale_max is not None and not 0 < scale_max < np.inf:  # nan fails both
+        raise ValidationError(f"scale maximum must be finite and positive, got {scale_max}")
     root = Path(path)
     if not root.is_dir():
         raise ValidationError(f"dataset bundle {root} is not a directory")
-    if scale_max is not None and scale_max <= 0:
-        raise ValidationError(f"scale maximum must be positive, got {scale_max}")
 
     graders, graded, grades = _read_csv(root / "assessments.csv", ASSESSMENT_HEADER, required=True)
     ownership = _read_csv(root / "ownership.csv", OWNERSHIP_HEADER, required=False)
     social = _read_csv(root / "social.csv", SOCIAL_HEADER, required=False)
     truth_items, values = _read_csv(root / "truth.csv", TRUTH_HEADER, required=True)
 
-    declared_users: list[str] = []
-    declared_items: list[str] = []
-    manifest_path = root / "manifest.json"
-    if manifest_path.exists():
-        manifest = read_document(manifest_path, "dataset-bundle")
-        reject_unknown(manifest, {"n", "m", "user_ids", "item_ids"}, "/")
-        declared_users = [str(u) for u in expect(manifest.get("user_ids", []), list, "/user_ids")]
-        declared_items = [str(i) for i in expect(manifest.get("item_ids", []), list, "/item_ids")]
-        for key, ids, name in (("n", declared_users, "user_ids"), ("m", declared_items, "item_ids")):
-            if key in manifest and expect(manifest[key], int, f"/{key}") != len(ids):
-                raise SchemaError(f"/{key}: {manifest[key]} does not match the "
-                                  f"{len(ids)} entries of /{name}")
+    manifest = _Manifest()
+    if (root / "manifest.json").exists():
+        manifest = from_doc(_Manifest, read_document(root / "manifest.json", "dataset-bundle"))
+    declared_users = list(map(str, manifest.user_ids))
+    declared_items = list(map(str, manifest.item_ids))
+    for key, ids, name in (("n", declared_users, "user_ids"), ("m", declared_items, "item_ids")):
+        if len(set(ids)) < len(ids):  # so that n and m count distinct ids
+            first: dict[str, int] = {}
+            k = next(k for k, id_ in enumerate(ids) if first.setdefault(id_, k) != k)
+            raise SchemaError(f"/{name}/{k}: {ids[k]!r} repeats /{name}/{first[ids[k]]}")
+        count = getattr(manifest, key)
+        if count is not None and count != len(ids):
+            raise SchemaError(f"/{key}: {count} does not match the {len(ids)} entries of /{name}")
 
     if scale_max is not None:
         grades = grades / scale_max
@@ -253,10 +252,8 @@ def load_dataset(path, scale_max: Optional[float] = None) -> Dataset:
                                    f"{truth_items[k]!r} outside [0, 1]")),
     )
     v = np.full(graph.m, np.nan)
-    v[idx] = values
-    mask = np.zeros(graph.m, dtype=bool)
-    mask[idx] = True
-    return Dataset(graph=graph, truth=GroundTruth(v, mask), split=None)
+    v[idx] = values  # none is NaN, so NaN marks exactly the unknown items
+    return Dataset(graph=graph, truth=GroundTruth(v, ~np.isnan(v)), split=None)
 
 
 # --- config documents ---------------------------------------------------------
@@ -290,18 +287,22 @@ def load_split_config(path) -> SplitConfig:
     return from_doc(SplitConfig, read_document(path, "split-config"))
 
 
+@dataclass(frozen=True)
+class _SweepDocument:
+    param: str
+    grid: list[Union[int, float]]  # each value kept as written: the CSV echoes it
+    base: dict = field(default_factory=dict)  # base, split, train: each read as its own document
+    methods: list[str] = field(default_factory=lambda: ["gcn-soan", "average"])
+    split: dict = field(default_factory=dict)
+    train: dict = field(default_factory=dict)
+
+
 def load_sweep_document(path) -> tuple[SweepSpec, list[str], SplitConfig, TrainConfig]:
-    doc = read_document(path, "sweep-spec")
-    reject_unknown(doc, {"param", "grid", "base", "methods", "split", "train"}, "/")
-    param = expect(doc.get("param"), str, "/param")
-    grid = doc.get("grid")
-    expect_list(grid, float, "/grid")  # checked only: the CSV echoes each value as given
-    base = parse_scenario_config(doc.get("base", {}), where="/base")
-    methods = expect_list(doc.get("methods", ["gcn-soan", "average"]), str, "/methods")
-    split_cfg = _config(SplitConfig, doc.get("split", {}), "/split")
-    train_cfg = _config(TrainConfig, doc.get("train", {}), "/train")
-    spec = SweepSpec(param=param, grid=tuple(grid), base=base)
-    return spec, methods, split_cfg, train_cfg
+    doc = from_doc(_SweepDocument, read_document(path, "sweep-spec"))
+    base = parse_scenario_config(doc.base, where="/base")
+    split_cfg = _config(SplitConfig, doc.split, "/split")
+    train_cfg = _config(TrainConfig, doc.train, "/train")
+    return SweepSpec(param=doc.param, grid=doc.grid, base=base), doc.methods, split_cfg, train_cfg
 
 
 # --- results ------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 :func:`to_doc` and :func:`from_doc` read the schema off the dataclass itself
 (its fields and type hints), so each document is declared once.  Field
-types map to JSON as follows: ``int``/``float``/``str``/``dict`` as
+types map to JSON as follows: ``int``/``float``/``str``/``list``/``dict`` as
 themselves, ``tuple[T, T]`` as a list of that length, ``tuple[T, ...]`` and
 ``list[T]`` as lists, ``dict[str, T]`` as an object, a nested dataclass as an
 object, and a ``Union`` of dataclasses as an object tagged by each member's
-``KIND`` (``None`` is ``{"kind": "none"}``).  A wrong key or type is a
+``KIND`` (``None`` is ``{"kind": "none"}``); a ``Union`` of leaves, such as
+``Union[int, float]`` or ``Optional[int]``, is checked as ``float`` if that is a
+member, else as its first member, and kept as written.  A wrong key or type is a
 :class:`SchemaError` naming the JSON pointer of the offending value; range
 checks stay in each dataclass's ``__post_init__``.
 
@@ -86,11 +88,6 @@ def expect(obj, typ, where: str):
     return obj
 
 
-def expect_list(obj, typ, where: str) -> list:
-    """``obj`` checked as a list of ``typ`` entries, each converted as by :func:`expect`."""
-    return [expect(x, typ, f"{where}/{i}") for i, x in enumerate(expect(obj, list, where))]
-
-
 def to_doc(cfg) -> dict:
     """JSON-ready object of a config dataclass, one key per field."""
     return {f.name: _value_doc(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}
@@ -133,6 +130,9 @@ def _read(typ, obj, where: str, base):
     if typ in (int, float, str):  # before get_origin, which is slower
         return expect(obj, typ, where)
     origin, args = get_origin(typ), get_args(typ)
+    if origin is Union and set(args) <= {int, float, str, type(None)}:  # e.g. Optional[int]
+        expect(obj, float if float in args else args[0], where)
+        return obj
     if origin is Union:
         members = {getattr(m, "KIND", "none"): m for m in args}  # NoneType has no KIND
         kind = expect(obj, dict, where).get("kind")

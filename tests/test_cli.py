@@ -203,14 +203,15 @@ class TestSweepCommand:
     def test_integral_float_is_accepted_and_echoed(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
-            "schema_version": 1, "param": "k", "grid": [3.0],
+            "schema_version": 1, "param": "k", "grid": [2, 3.0],
             "base": {"preset": "default", "n": 25, "m": 25, "seed": 0},
             "methods": ["average"],
             "split": {"train_fraction": 0.2, "n_splits": 1, "seed": 0},
         }))
         assert dispatch(["sweep", "--spec", str(spec), "--out", str(tmp_path / "s.csv")]) == 0
         rows = capsys.readouterr().out.strip().splitlines()[1:]
-        assert rows and all(row.startswith("k,3.0,average,") for row in rows)
+        assert [row.split(",")[:3] for row in rows] == \
+            [["k", "2", "average"]] * 3 + [["k", "3.0", "average"]] * 3
 
     def test_malformed_jobs_env_var_is_usage_error(self, tmp_path, capsys, monkeypatch):
         spec = tmp_path / "spec.json"
@@ -244,6 +245,19 @@ class TestImportCommand:
         (src / "truth.csv").write_text("item_id,value\ni1,0.7\n")
         assert dispatch(["import", "--from", str(src), "--scale", "10",
                          "--out", str(tmp_path / "x")]) == 3
+
+    @pytest.mark.parametrize("scale", ["max=inf", "max=nan", "max=0", "max=-1"])
+    def test_scale_that_is_not_finite_and_positive_is_validation_error(
+            self, tmp_path, capsys, scale):
+        src = tmp_path / "raw"
+        src.mkdir()
+        (src / "assessments.csv").write_text("grader_id,item_id,grade\nu1,i1,8\n")
+        (src / "truth.csv").write_text("item_id,value\ni1,7\n")
+        code = dispatch(["import", "--from", str(src), "--scale", scale,
+                         "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "scale maximum" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_input_files_not_mutated(self, tmp_path, capsys):
         src = tmp_path / "raw"

@@ -1,5 +1,7 @@
 """Splitting, scoring, experiments, and sweeps."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,29 @@ class TestRunSweep:
         seq = run_sweep(spec, ["average", "median"], split_cfg, jobs=1)
         par = run_sweep(spec, ["average", "median"], split_cfg, jobs=3)
         assert seq.to_csv() == par.to_csv()
+
+    def test_pool_is_capped_at_the_grid_size(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:  # records the pool size, forks nothing
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        spec = SweepSpec(param="k", grid=(1, 2), base=default_scenario(seed=0, n=20, m=20))
+        result = run_sweep(spec, ["average"], SplitConfig(train_fraction=0.2, n_splits=1, seed=0),
+                           jobs=1000)
+        assert sizes == [2]
+        assert all(point.report is not None for point in result.points)
 
     def test_csv_shape(self):
         base = default_scenario(seed=0, n=30, m=30)

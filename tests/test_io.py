@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +114,38 @@ class TestLoadDataset:
             {"schema_version": 1, "user_ids": ["u1"], "item_ids": ["i1"], key: value}))
         with pytest.raises(SchemaError, match=f"^/{key}: {message}$"):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("key, ids, count, pointer", [
+        ("user_ids", ["u1", "u1"], "n", "/user_ids/1: 'u1' repeats /user_ids/0"),
+        ("item_ids", ["i1", 1, "1"], "m", "/item_ids/2: '1' repeats /item_ids/1"),
+    ])
+    def test_manifest_id_may_not_repeat(self, tmp_path, key, ids, count, pointer):
+        write_bundle(tmp_path, [("u1", "i1", 0.8)], [("i1", 0.5)])
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"schema_version": 1, key: ids, count: len(ids)}))
+        with pytest.raises(SchemaError, match=f"^{pointer}$"):
+            load_dataset(tmp_path)
+
+    def test_bytes_that_are_not_utf8_are_the_first_fault_reported(self, tmp_path):
+        write_bundle(tmp_path, [("u1", "i1", 0.8)], [("i1", 0.5)])
+        path = tmp_path / "assessments.csv"  # a wrong header, and a bad byte far past it
+        path.write_bytes(b"grader,item_id,grade\n" + b"u1,i1,0.8\n" * 10_000 + b"u\xff,i1,0.8\n")
+        with pytest.raises(SchemaError, match=r"assessments.csv:10002: not UTF-8 text"):
+            load_dataset(tmp_path)
+
+    def test_each_csv_is_opened_once(self, tmp_path, monkeypatch):
+        write_bundle(tmp_path, [('"u,1"', "i1", 0.8)], [('"i1"', 0.5)],  # quoted: csv.reader
+                     ownership=[("u2", "i1", 1.0)])
+        opened = []
+        open_path = Path.open
+
+        def recording_open(self, *args, **kwargs):
+            opened.append(self.name)
+            return open_path(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", recording_open)
+        assert load_dataset(tmp_path).graph.user_ids == ("u,1", "u2")
+        assert sorted(opened) == ["assessments.csv", "ownership.csv", "truth.csv"]
 
     def test_group_ownership_and_self_grades(self, tmp_path):
         # multiple ownership rows per item and a grader who owns the item

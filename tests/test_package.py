@@ -33,3 +33,12 @@ def test_only_the_schema_module_spells_the_document_envelope():
                      and any(word in path.read_text(encoding="utf-8")
                              for word in ("schema_version", "SCHEMA_VERSION")))
     assert spelled == []
+
+
+def test_only_the_schema_module_checks_keys_by_hand():
+    package = Path(peergrade.__file__).parent
+    callers = sorted(path.name for path in package.glob("*.py")
+                     if path.name != "schema.py"
+                     and "reject_unknown(" in path.read_text(encoding="utf-8"))
+    assert callers == []
+    assert not hasattr(peergrade.schema, "expect_list")

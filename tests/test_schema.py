@@ -1,6 +1,8 @@
 """The dataclass-driven config schema: to_doc/from_doc round trips and pointers."""
 
 import json
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import pytest
 from hypothesis import given
@@ -90,6 +92,33 @@ def test_union_member_starts_from_its_own_defaults():
                                     "assessment": {"kind": "strategic"}}, base=base)
     assert cfg.social == HomophilyConfig()
     assert cfg.assessment == StrategicConfig()
+
+
+@dataclass(frozen=True)
+class _Leaves:
+    value: Union[int, float] = 0
+    count: Optional[int] = None
+
+
+@pytest.mark.parametrize("doc, expected", [
+    ({"value": 2, "count": 3}, _Leaves(2, 3)),
+    ({"value": 3.0}, _Leaves(3.0, None)),
+])
+def test_union_of_leaves_is_kept_as_written(doc, expected):
+    got = from_doc(_Leaves, doc)
+    assert got == expected and type(got.value) is type(expected.value)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"value": True}, "/value: expected float, got bool"),
+    ({"value": "2"}, "/value: expected float, got str"),
+    ({"value": 10**400}, "/value: expected float, got int"),
+    ({"count": None}, "/count: expected int, got NoneType"),
+    ({"count": 1.0}, "/count: expected int, got float"),
+])
+def test_union_of_leaves_is_checked_as_its_widest_member(doc, message):
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        from_doc(_Leaves, doc)
 
 
 @pytest.mark.parametrize("doc, pointer", [
