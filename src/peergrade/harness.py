@@ -8,6 +8,7 @@ experiment is scored on identical test sets, split by split.
 from __future__ import annotations
 
 import concurrent.futures
+import sys
 import time
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -179,6 +180,13 @@ def run_experiment(
     )
 
 
+def _whole(value) -> bool:
+    """A whole number in the float range; an int is compared, never converted."""
+    if isinstance(value, int):
+        return abs(value) <= sys.float_info.max
+    return float(value).is_integer()
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One swept parameter, its value grid, and the base scenario."""
@@ -192,8 +200,9 @@ class SweepSpec:
             raise ValidationError(f"unknown sweep parameter {self.param!r}; choose from {SWEEP_PARAMS}")
         if len(self.grid) == 0:
             raise ValidationError("sweep grid is empty")
-        if self.param in ("k", "layers") and any(not float(v).is_integer() for v in self.grid):
-            raise ValidationError(f"sweep values of {self.param!r} must be whole numbers")
+        if self.param in ("k", "layers") and not all(map(_whole, self.grid)):
+            raise ValidationError(
+                f"sweep values of {self.param!r} must be whole numbers in the float range")
         object.__setattr__(self, "grid", tuple(self.grid))
 
 

@@ -88,13 +88,18 @@ class AdamState:
 class ForwardCache:
     """Per-layer intermediates kept for backpropagation.
 
-    Passed back to :func:`forward`, its arrays are overwritten in place.
+    The head reads only item rows, so the last layer's sparse products and
+    ELU are computed on those: the user rows of ``h[-1]`` and ``d_z[-1]``
+    stay +0.0, and above the first layer those of ``propagated[-1]`` and
+    ``z[-1]`` too.  Passed back to :func:`forward`, its arrays are
+    overwritten in place.
     """
 
     h: list                    # H[0] .. H[K]; H[0] may be sparse
     z: list[np.ndarray]        # pre-activations Z[1] .. Z[K]
     d_z: list[np.ndarray]      # backward's buffers, shaped as z
     propagated: list           # N @ H[l] for l = 0 .. K-1; sparse when H[0] is
+    item_N: sp.csr_matrix      # N[n:], the rows the last layer computes
     predictions: np.ndarray
     params: ModelParams  # the parameters this pass ran with
     prop: PropagationMatrix
@@ -158,21 +163,32 @@ def forward(
 
     shapes = [(prop.size, W.shape[1]) for W in params.W]
     if cache is None:
-        cache = ForwardCache(h=[h0, *map(np.empty, shapes)], z=list(map(np.empty, shapes)),
-                             d_z=list(map(np.empty, shapes)),
-                             propagated=[prop.N @ h0] + [None] * (len(shapes) - 1),
-                             predictions=None, params=params, prop=prop)
+        def buffers():  # the last layer writes only item rows, so its buffer starts zeroed
+            return [*map(np.empty, shapes[:-1]), np.zeros(shapes[-1])]
+
+        # Above the first layer, only the last layer's N @ H buffer is kept;
+        # the others are replaced by each pass.
+        cache = ForwardCache(h=[h0, *buffers()], z=buffers(), d_z=buffers(),
+                             propagated=[prop.N @ h0, *map(np.zeros, shapes[:-1])],
+                             item_N=prop.N[prop.n:], predictions=None, params=params, prop=prop)
     elif cache.prop is not prop or cache.h[0] is not h0 or [z.shape for z in cache.z] != shapes:
         raise ValidationError("forward cache was made for another operator, input or layer widths")
+    top = params.layers - 1
     for layer, W in enumerate(params.W):
-        if layer:
+        # The head reads item rows only, so the last layer's N @ H and ELU skip the rest.
+        rows = slice(prop.n if layer == top else 0, None)
+        if layer == top and layer:
+            cache.propagated[layer][rows] = cache.item_N @ cache.h[layer]
+        elif layer:
             cache.propagated[layer] = prop.N @ cache.h[layer]
-        nh = cache.propagated[layer]
-        if sp.issparse(nh):
-            cache.z[layer][...] = nh @ W
+        nh, z = cache.propagated[layer], cache.z[layer]
+        if sp.issparse(nh):  # one-hot input at layer 0; a sparse product goes row by row
+            z[rows] = (nh[rows] if layer == top else nh) @ W
         else:
-            np.matmul(nh, W, out=cache.z[layer])
-        _elu(cache.z[layer], out=cache.h[layer + 1])
+            # Full-size even on the last layer: OpenBLAS picks its kernels by
+            # shape, so a GEMM on item rows alone can round differently.
+            np.matmul(nh, W, out=z)
+        _elu(z[rows], out=cache.h[layer + 1][rows])
 
     cache.predictions = sigmoid(cache.h[-1][prop.n:] @ params.w_out + params.b_out)
     cache.params = params
@@ -216,18 +232,21 @@ def backward(
     g_b_out = float(d_logit.sum())
 
     # d_h is zero on user rows (they do not reach the head), so the last
-    # layer's d_z is computed on item rows only.
+    # layer's d_z is computed on item rows only; its user rows stay +0.0.
     d_z = cache.d_z
-    d_z[-1][:prop.n] = 0.0
     item_d_z = _elu_grad(cache.z[-1][prop.n:], out=d_z[-1][prop.n:])
     item_d_z *= np.outer(d_logit, params.w_out)
 
+    # The GEMMs stay full-size, as in forward: zero user rows add nothing.
+    top = params.layers - 1
     g_W: list[np.ndarray] = [np.empty(0)] * params.layers
-    for layer in range(params.layers - 1, -1, -1):
+    for layer in range(top, -1, -1):
         g_W[layer] = cache.propagated[layer].T @ d_z[layer]
         if layer > 0:
-            # d_z @ W.T borrows the lower layer's buffer until N.T has taken it.
-            d_h = prop.N.T @ np.matmul(d_z[layer], params.W[layer].T, out=d_z[layer - 1])
+            # d_z @ W.T borrows the lower layer's buffer until N.T has taken it;
+            # on the last layer only its item rows are nonzero.
+            x = np.matmul(d_z[layer], params.W[layer].T, out=d_z[layer - 1])
+            d_h = cache.item_N.T @ x[prop.n:] if layer == top else prop.N.T @ x
             _elu_grad(cache.z[layer - 1], out=d_z[layer - 1])
             d_z[layer - 1] *= d_h
     return ModelParams(W=tuple(g_W), w_out=g_w_out, b_out=g_b_out)

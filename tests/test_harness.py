@@ -249,6 +249,14 @@ class TestRunSweep:
         with pytest.raises(ValidationError):
             SweepSpec(param="k", grid=(), base=default_scenario())
 
+    @pytest.mark.parametrize("param", ["k", "layers"])
+    def test_whole_grid_value_past_float_range_rejected(self, param):
+        for value in (10**400, -(10**400), 2.5, float("inf"), float("nan")):
+            with pytest.raises(ValidationError, match="whole numbers"):
+                SweepSpec(param=param, grid=(3, value), base=default_scenario())
+        spec = SweepSpec(param=param, grid=(3, 4.0, np.int64(5), 2**1023), base=default_scenario())
+        assert spec.grid == (3, 4.0, 5, 2**1023)
+
     def test_mu_sweep_collapses_mixture(self):
         base = default_scenario(seed=0, n=30, m=30)
         spec = SweepSpec(param="mu", grid=(0.4,), base=base)

@@ -26,6 +26,7 @@ from peergrade import (
     predict,
     propagation_matrix,
     save_model,
+    strategic_scenario,
     train,
 )
 from peergrade.harness import SplitConfig
@@ -253,15 +254,39 @@ class TestForward:
         first = init_params(TrainConfig(layers=3, dim=4), 1, rng)
         second = init_params(TrainConfig(layers=3, dim=4), 1, rng)
         _, cache = forward(first, prop, h0)
-        arrays = [*cache.h, *cache.z, cache.propagated[0]]
+        kept = lambda c: [*c.h, *c.z, *c.d_z, c.propagated[0], c.propagated[-1], c.item_N]
+        arrays = kept(cache)
         preds, again = forward(second, prop, h0, cache)
         assert again is cache and again.params is second
-        assert all(a is b for a, b in zip([*again.h, *again.z, again.propagated[0]], arrays))
+        assert all(a is b for a, b in zip(kept(again), arrays))
         fresh_preds, fresh = forward(second, prop, h0)
         assert preds.tobytes() == fresh_preds.tobytes()
         for a, b in zip([*again.h, *again.z, *again.propagated],
                         [*fresh.h, *fresh.z, *fresh.propagated]):
             assert a.tobytes() == b.tobytes()
+
+    def test_last_layer_user_rows_stay_positive_zero(self):
+        # The head reads item rows only; the last layer leaves its user rows at +0.0.
+        rng = np.random.default_rng(19)
+        graph = random_graph(rng, n=9, m=4, social_density=0.9)
+        prop = propagation_matrix(graph)
+        truth = GroundTruth.full(rng.uniform(0, 1, graph.m))
+        for layers, features in ((1, "ones"), (1, "one-hot"), (2, "ones"), (3, "one-hot")):
+            h0 = initial_features(features, prop)
+            cfg = TrainConfig(layers=layers, dim=3)
+            cache = None
+            for _ in range(2):  # a fresh pass, then one into its cache
+                params = init_params(cfg, h0.shape[1], rng)
+                _, cache = forward(params, prop, h0, cache)
+                backward(params, prop, cache, truth, (0, 2))
+                user_rows = [cache.h[-1], cache.d_z[-1]]
+                if layers > 1:  # a first layer's N @ H[0] is whole, and so is its GEMM
+                    user_rows += [cache.z[-1], cache.propagated[-1]]
+                for array in user_rows:
+                    assert array.shape[0] == prop.size
+                    assert array[:prop.n].tobytes() == bytes(array[:prop.n].nbytes)
+                assert np.any(cache.h[-1][prop.n:] != 0.0)
+            assert (cache.item_N != prop.N[prop.n:]).nnz == 0
 
     def test_cache_is_not_reused_across_inputs(self):
         rng = np.random.default_rng(16)
@@ -401,6 +426,16 @@ def reference_train(dataset, cfg, prop):
                                    dataset.split.train)
         params, state = adam_step(params, grads, state, cfg)
     return params, history
+
+
+def assert_trains_as_reference(dataset, cfg, prop):
+    """:func:`train` and :func:`reference_train` agree bit for bit."""
+    params, history = train(dataset, cfg, prop)
+    ref_params, ref_history = reference_train(dataset, cfg, prop)
+    assert np.asarray(history).tobytes() == np.asarray(ref_history).tobytes()
+    for a, b in zip((*params.W, params.w_out), (*ref_params.W, ref_params.w_out)):
+        assert a.tobytes() == b.tobytes()
+    assert params.b_out == ref_params.b_out
 
 
 def per_tensor_adam(params, grads, moments, t, cfg):
@@ -557,12 +592,30 @@ class TestTrain:
             cfg = TrainConfig(layers=int(rng.integers(1, 4)), dim=int(rng.integers(1, 9)),
                               epochs=int(rng.integers(1, 31)), seed=trial,
                               features=("ones", "one-hot")[trial % 2])
-            params, history = train(dataset, cfg, prop)
-            ref_params, ref_history = reference_train(dataset, cfg, prop)
-            assert np.asarray(history).tobytes() == np.asarray(ref_history).tobytes()
-            for a, b in zip((*params.W, params.w_out), (*ref_params.W, ref_params.w_out)):
-                assert a.tobytes() == b.tobytes()
-            assert params.b_out == ref_params.b_out
+            assert_trains_as_reference(dataset, cfg, prop)
+
+    def test_social_heavy_graphs_equal_fresh_array_reference_bitwise(self):
+        # User-user ties hold most of N's entries, as on the strategic
+        # campaign, so the user rows the last layer skips carry most of N;
+        # one-layer models and one-hot features included.  The small item
+        # counts matter: on such shapes a GEMM over item rows alone rounds
+        # differently from the full-size one.
+        rng = np.random.default_rng(18)
+        graphs = [build_scenario(strategic_scenario(seed=4, n=40, m=40, p=0.5)).graph]
+        for _ in range(23):
+            graphs.append(random_graph(rng, n=int(rng.integers(8, 31)), m=int(rng.integers(1, 7)),
+                                       social_density=0.9, own_density=0.1, assess_density=0.3))
+        for trial, graph in enumerate(graphs):
+            prop = propagation_matrix(graph)
+            assert prop.N[:graph.n].nnz > 2 * prop.N[graph.n:].nnz
+            ids = rng.permutation(graph.m)
+            size = int(rng.integers(1, graph.m + 1))
+            dataset = Dataset(graph=graph, truth=GroundTruth.full(rng.uniform(0, 1, graph.m)),
+                              split=Split(train=ids[:size], test=ids[size:]))
+            cfg = TrainConfig(layers=(1, 2, 3)[trial % 3], dim=int(rng.integers(1, 9)),
+                              epochs=int(rng.integers(1, 31)), seed=trial,
+                              features=("ones", "one-hot")[trial // 3 % 2])
+            assert_trains_as_reference(dataset, cfg, prop)
 
     def test_divergence_aborts_with_epoch(self, small_dataset):
         # an absurd learning rate overflows the layer products within a step
