@@ -378,9 +378,15 @@ def validate(graph: SoanGraph) -> ValidationReport:
 
 
 def _triples(mat: sp.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (row, col, data) entries of ``mat`` in row-major order, duplicates as stored."""
     coo = mat.tocoo()
-    order = np.lexsort((coo.col, coo.row))
+    order = np.argsort(coo.row.astype(np.int64) * mat.shape[1] + coo.col, kind="stable")
     return coo.row[order], coo.col[order], coo.data[order]
+
+
+def _same_values(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal values with equal signs, so that ``-0.0`` differs from ``0.0``."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def graphs_equal(a: SoanGraph, b: SoanGraph) -> bool:
@@ -392,7 +398,7 @@ def graphs_equal(a: SoanGraph, b: SoanGraph) -> bool:
         rb, cb, vb = _triples(mb)
         if len(va) != len(vb):
             return False
-        if not (np.array_equal(ra, rb) and np.array_equal(ca, cb) and np.array_equal(va, vb)):
+        if not (np.array_equal(ra, rb) and np.array_equal(ca, cb) and _same_values(va, vb)):
             return False
     return True
 
@@ -403,6 +409,6 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
         return False
     if not np.array_equal(a.truth.mask, b.truth.mask):
         return False
-    if not np.array_equal(a.truth.v[a.truth.mask], b.truth.v[b.truth.mask]):
+    if not _same_values(a.truth.v[a.truth.mask], b.truth.v[b.truth.mask]):
         return False
     return a.split == b.split

@@ -1,11 +1,12 @@
 """Serialization: dataset bundles (CSV), configs and results (canonical JSON).
 
 A dataset bundle is a directory holding ``assessments.csv`` and ``truth.csv``
-(always), ``ownership.csv`` and ``social.csv`` (only when nonempty), and a
-``manifest.json`` recording the full node-id universe.  CSV headers are
-mandatory and exact; floats are written with 17 significant digits so every
-round trip is bit-exact.  JSON documents are canonical: sorted keys, compact
-separators, newline-terminated, unknown fields rejected.
+(always), ``ownership.csv`` and ``social.csv`` (only when nonempty: a save
+removes an older copy), and a ``manifest.json`` recording the full node-id
+universe.  CSV headers are mandatory and exact; floats are written with 17
+significant digits so every round trip is bit-exact.  JSON documents are
+canonical: sorted keys, compact separators, newline-terminated, unknown fields
+rejected.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence, Union
@@ -29,6 +30,7 @@ from .graph import (
     _outside_unit,
     _raise_first,
     _repeated,
+    _triples,
     build_graph,
 )
 from .harness import ExperimentReport, SplitConfig, SweepSpec
@@ -56,9 +58,25 @@ def _encoded(ids: Sequence[str]) -> list[str]:
     return [writer.writerow((s, ""))[:-3] for s in ids]  # minus the ",\r\n" after it
 
 
-def _write_csv(path: Path, header: list[str], lines: Iterable[str]) -> None:
-    """Write ``header`` and the ``\r\n``-terminated ``lines``, in one piece."""
-    path.write_text(",".join(header) + "\r\n" + "".join(lines), encoding="utf-8", newline="")
+def _numbers(values: np.ndarray) -> Iterable[str]:
+    """Each value as ``f"{v:.17g}"``, each distinct bit pattern formatted once.
+
+    Bits, not values, are deduplicated, so that ``-0.0`` stays ``-0``.
+    """
+    bits, inverse = np.unique(np.ascontiguousarray(values, np.float64).view(np.int64),
+                              return_inverse=True)
+    texts = [f"{v:.17g}" for v in bits.view(np.float64).tolist()]
+    return map(texts.__getitem__, inverse.tolist())
+
+
+def _picked(ids: list[str], index: np.ndarray) -> Iterable[str]:
+    return map(ids.__getitem__, index.tolist())
+
+
+def _write_csv(path: Path, header: list[str], *columns: Iterable[str]) -> None:
+    """Write ``header`` and a line per entry of the ``columns``, all ended by ``\r\n``, at once."""
+    lines = chain([",".join(header)], map(",".join, zip(*columns)), [""])
+    path.write_text("\r\n".join(lines), encoding="utf-8", newline="")
 
 
 # --- dataset bundles ----------------------------------------------------------
@@ -79,28 +97,23 @@ def save_dataset(dataset: Dataset, path) -> None:
     users, items = _encoded(graph.user_ids), _encoded(graph.item_ids)
 
     def write_relation(name, header, col_ids, rows, cols, vals) -> None:
-        order = np.lexsort((cols, rows))
-        _write_csv(out / name, header, (
-            f"{users[a]},{col_ids[b]},{w:.17g}\r\n"
-            for a, b, w in zip(rows[order].tolist(), cols[order].tolist(), vals[order].tolist())))
+        _write_csv(out / name, header, _picked(users, rows), _picked(col_ids, cols), _numbers(vals))
 
-    ac = graph.A.tocoo()
-    write_relation("assessments.csv", ASSESSMENT_HEADER, items, ac.row, ac.col, ac.data)
-
-    oc = graph.O.tocoo()
-    if oc.nnz:
-        write_relation("ownership.csv", OWNERSHIP_HEADER, items, oc.row, oc.col, oc.data)
-
-    sc = graph.S.tocoo()
-    if sc.nnz:
-        upper = sc.row < sc.col  # undirected edges written once
-        write_relation("social.csv", SOCIAL_HEADER, users,
-                       sc.row[upper], sc.col[upper], sc.data[upper])
+    write_relation("assessments.csv", ASSESSMENT_HEADER, items, *_triples(graph.A))
+    for name, header, col_ids, mat in (("ownership.csv", OWNERSHIP_HEADER, items, graph.O),
+                                       ("social.csv", SOCIAL_HEADER, users, graph.S)):
+        if not mat.nnz:
+            (out / name).unlink(missing_ok=True)  # else an earlier save's file would be loaded
+            continue
+        rows, cols, vals = _triples(mat)
+        if mat is graph.S:
+            upper = rows < cols  # undirected edges written once
+            rows, cols, vals = rows[upper], cols[upper], vals[upper]
+        write_relation(name, header, col_ids, rows, cols, vals)
 
     known = np.flatnonzero(dataset.truth.mask)
-    _write_csv(out / "truth.csv", TRUTH_HEADER, (
-        f"{items[j]},{v:.17g}\r\n"
-        for j, v in zip(known.tolist(), dataset.truth.v[known].tolist())))
+    _write_csv(out / "truth.csv", TRUTH_HEADER,
+               _picked(items, known), _numbers(dataset.truth.v[known]))
 
     manifest = to_doc(_Manifest(graph.user_ids, graph.item_ids, graph.n, graph.m))
     (out / "manifest.json").write_text(document_json("dataset-bundle", manifest), encoding="utf-8")

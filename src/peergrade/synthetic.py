@@ -162,9 +162,12 @@ def gen_ownership_one_to_one(n: int, m: int, rng: np.random.Generator) -> sp.csr
 
 def gen_social_er(n: int, cfg: ErConfig, rng: np.random.Generator) -> sp.csr_matrix:
     """Symmetric 0/1 adjacency over n users, zero diagonal; pairs drawn independently."""
-    iu, ju = np.triu_indices(n, k=1)
-    keep = rng.random(iu.shape[0]) < cfg.p
-    return _undirected(iu[keep], ju[keep], n)
+    # Pair (i, j), i < j, is draw starts[i] + j - i - 1, the order of np.triu_indices(n, 1).
+    i = np.arange(n)
+    starts = i * (2 * n - i - 1) // 2
+    keep = np.flatnonzero(rng.random(n * (n - 1) // 2) < cfg.p)
+    iu = np.searchsorted(starts, keep, side="right") - 1
+    return _undirected(iu, keep - starts[iu] + iu + 1, n)
 
 
 def _undirected(r: np.ndarray, c: np.ndarray, n: int) -> sp.csr_matrix:

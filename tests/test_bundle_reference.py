@@ -20,6 +20,7 @@ from peergrade import (
     SoanGraph,
     ValidationError,
     build_graph,
+    graphs_equal,
     load_dataset,
     save_dataset,
 )
@@ -353,6 +354,23 @@ class TestEqualsPerRowReference:
             reference_save_dataset(unsorted, tmp_path / f"ref{case}")
             save_dataset(unsorted, tmp_path / f"new{case}")
             assert tree_bytes(tmp_path / f"new{case}") == tree_bytes(tmp_path / f"ref{case}")
+
+    def test_graphs_equal_reads_unsorted_matrices(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            g = random_dataset(rng).graph
+            A = g.A.copy()
+            k = int(rng.integers(A.nnz))
+            A.data[k] = 0.0
+            signed = A.copy()
+            signed.data[k] = -0.0
+            twin = SoanGraph(n=g.n, m=g.m, S=g.S, O=g.O, A=A,
+                             user_ids=g.user_ids, item_ids=g.item_ids)
+            for mat, equal in ((A, True), (signed, False)):
+                graph = SoanGraph(n=g.n, m=g.m, S=reversed_rows(g.S), O=reversed_rows(g.O),
+                                  A=reversed_rows(mat), user_ids=g.user_ids, item_ids=g.item_ids)
+                assert graphs_equal(graph, twin) is equal
+                assert graphs_equal(twin, graph) is equal
 
 
 def reversed_rows(mat):

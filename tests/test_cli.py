@@ -65,6 +65,17 @@ class TestGenerate:
         assert summary["assessments"] == 40 * 3
         assert summary["ownership"] == 40
 
+    def test_generate_into_an_old_bundle_replaces_it(self, tmp_path, scenario_file, capsys):
+        out = tmp_path / "b4"
+        strategic = tmp_path / "strategic.json"
+        strategic.write_text(json.dumps({
+            "schema_version": 1, "preset": "strategic", "n": 30, "m": 30, "seed": 5,
+        }))
+        for config in (strategic, scenario_file):
+            assert dispatch(["generate", "--config", str(config), "--out", str(out)]) == 0
+        expected = build_scenario(load_scenario_config(scenario_file))
+        assert datasets_equal(expected, load_dataset(out))
+
     def test_missing_config_is_validation_error(self, tmp_path, capsys):
         code = dispatch(["generate", "--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "x")])

@@ -196,6 +196,23 @@ class TestRoundTrip:
         save_dataset(ds, tmp_path / "b")
         assert datasets_equal(ds, load_dataset(tmp_path / "b"))
 
+    def test_resave_removes_files_of_empty_relations(self, tmp_path):
+        from peergrade import strategic_scenario
+
+        path = tmp_path / "b"
+        save_dataset(build_scenario(strategic_scenario(seed=0, n=30, m=30)), path)
+        default = build_scenario(default_scenario(seed=0, n=30, m=30))  # no social net
+        save_dataset(default, path)
+        assert not (path / "social.csv").exists()
+        assert datasets_equal(default, load_dataset(path))
+
+        graph = random_graph(np.random.default_rng(3), n=4, m=4, social_density=0.0,
+                             own_density=0.0, assess_density=1.0)
+        bare = Dataset(graph=graph, truth=GroundTruth.full(np.linspace(0, 1, 4)))
+        save_dataset(bare, path)
+        assert not (path / "ownership.csv").exists()
+        assert datasets_equal(bare, load_dataset(path))
+
     def test_seventeen_digit_precision(self, tmp_path):
         value = 0.1 + 0.2  # 0.30000000000000004
         g = build_graph([("u1", "i1", value)])

@@ -102,6 +102,39 @@ class TestSocialEr:
         S = gen_social_er(50, ErConfig(p=0.2), np.random.default_rng(5))
         assert (S != S.T).nnz == 0
 
+    def test_equals_triu_indices_reference_bitwise(self):
+        rng = np.random.default_rng(20)
+        for n in (0, 1, 2, 3, 4, 7, 31, 60, 200):
+            for p in (0.0, 1.0, *rng.random(3)):
+                for seed in range(3):
+                    got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = gen_social_er(n, ErConfig(p=p), got_rng)
+                    expected = reference_social_er(n, p, ref_rng)
+                    for attr in ("indptr", "indices", "data"):
+                        a, b = getattr(got, attr), getattr(expected, attr)
+                        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), (n, p, seed, attr)
+                    assert got_rng.random() == ref_rng.random()  # the same draws were taken
+
+    def test_peak_memory_holds_no_index_arrays(self):
+        # The n (n - 1) / 2 uniform draws take 15.3 MiB at n = 2000; the two
+        # int64 np.triu_indices arrays the generator once built took 30.5 more.
+        tracemalloc.start()
+        try:
+            gen_social_er(2000, ErConfig(p=0.05), np.random.default_rng(21))
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < 25
+
+
+def reference_social_er(n, p, rng):
+    """``gen_social_er`` as first written: a draw per pair of ``np.triu_indices(n, 1)``."""
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(iu.shape[0]) < p
+    rows = np.concatenate([iu[keep], ju[keep]])
+    cols = np.concatenate([ju[keep], iu[keep]])
+    return sp.csr_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(n, n))
+
 
 class TestSocialHomophily:
     def test_tau_one_complete(self):
