@@ -16,6 +16,7 @@ explicit zero contributes to a node's degree but not to the weighted sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -145,11 +146,21 @@ def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
     return mat
 
 
-class _Columns(NamedTuple):
-    """One relation as the bundle loader reads it: two ``str`` id lists, float64 weights."""
+class _Coded(NamedTuple):
+    """An id column dictionary-encoded: entry ``k`` is ``names[codes[k]]``."""
 
-    first: list[str]
-    second: list[str]
+    names: list[str]
+    codes: np.ndarray
+
+    def at(self, k: int) -> str:
+        return self.names[self.codes[k]]
+
+
+class _Columns(NamedTuple):
+    """One relation as the bundle loader reads it: two coded id columns, float64 weights."""
+
+    first: _Coded
+    second: _Coded
     weights: np.ndarray
 
 
@@ -161,11 +172,16 @@ def _columns(entries: Iterable[Triple]) -> tuple[Sequence, Sequence, Sequence]:
     return ([u for u, _, _ in entries], [i for _, i, _ in entries], [w for _, _, w in entries])
 
 
-def _str_ids(columns: Sequence) -> Sequence[list[str]]:
-    """The two id columns as ``str``; a ``_Columns`` holds them so already."""
+def _coded(ids: Sequence) -> _Coded:
+    """``ids`` taken with ``str``, each entry its own code."""
+    return _Coded(list(map(str, ids)), np.arange(len(ids)))
+
+
+def _coded_ids(columns: Sequence) -> Sequence[_Coded]:
+    """The two id columns as ``_Coded``; a ``_Columns`` holds them so already."""
     if isinstance(columns, _Columns):
         return columns[:2]
-    return [list(map(str, ids)) for ids in columns[:2]]
+    return [_coded(ids) for ids in columns[:2]]
 
 
 def _weights(values: Sequence) -> np.ndarray:
@@ -174,13 +190,17 @@ def _weights(values: Sequence) -> np.ndarray:
     return np.fromiter(map(float, values), np.float64, len(values))
 
 
-def _shown(values: Sequence, k: int):
-    """Weight ``k`` as the caller gave it; a float64 one as a Python float."""
-    return values[k].item() if isinstance(values, np.ndarray) else values[k]
+def _shown(column: Sequence, k: int):
+    """Entry ``k`` as the caller gave it: a float64 one as a Python float, a coded one as text."""
+    if isinstance(column, _Coded):
+        return column.at(k)
+    return column[k].item() if isinstance(column, np.ndarray) else column[k]
 
 
-def _indices(index: dict[str, int], ids: Sequence[str]) -> np.ndarray:
-    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+def _indices(index: dict[str, int], ids: _Coded) -> np.ndarray:
+    """The index of each entry of ``ids``, -1 for one not in ``index``: a lookup per name."""
+    found = np.fromiter(map(index.get, ids.names, repeat(-1)), np.int64, len(ids.names))
+    return found[ids.codes]
 
 
 def _outside_unit(values: np.ndarray) -> np.ndarray:
@@ -226,20 +246,20 @@ def build_graph(
     ``users`` / ``items`` may declare identifiers that appear in no edge.
     """
     given = [_columns(entries) for entries in (assessments, ownerships, social)]
-    (a_users, a_items), (o_users, o_items), (s_a, s_b) = map(_str_ids, given)
-    uidx, user_ids = _index_map({*users, *a_users, *o_users, *s_a, *s_b})
-    iidx, item_ids = _index_map({*items, *a_items, *o_items})
+    (a_users, a_items), (o_users, o_items), (s_a, s_b) = map(_coded_ids, given)
+    uidx, user_ids = _index_map({*users, *a_users.names, *o_users.names, *s_a.names, *s_b.names})
+    iidx, item_ids = _index_map({*items, *a_items.names, *o_items.names})
     n, m = len(user_ids), len(item_ids)
 
-    def bipartite(kind, given, names):
+    def bipartite(kind, given, ids):
         w = _weights(given[2])
-        rows, cols = _indices(uidx, names[0]), _indices(iidx, names[1])
+        rows, cols = _indices(uidx, ids[0]), _indices(iidx, ids[1])
         _raise_first(
             (_repeated(rows * m + cols), lambda k: DuplicateEntryError(
-                f"duplicate {kind} entry for {(names[0][k], names[1][k])!r}")),
+                f"duplicate {kind} entry for {(ids[0].at(k), ids[1].at(k))!r}")),
             (_outside_unit(w), lambda k: ValidationError(
                 f"{kind} weight out of range [0, 1] in entry "
-                f"{(given[0][k], given[1][k], _shown(given[2], k))!r}")),
+                f"{tuple(_shown(column, k) for column in given)!r}")),
         )
         return _csr(rows, cols, w, (n, m))
 
@@ -251,11 +271,12 @@ def build_graph(
     lo, hi = np.minimum(a, b), np.maximum(a, b)  # index order is identifier order
     _raise_first(
         (a == b, lambda k: ValidationError(
-            f"self-edge in social list: {(s_a[k], s_b[k], _shown(s_w, k))!r}")),
+            f"self-edge in social list: {(s_a.at(k), s_b.at(k), _shown(s_w, k))!r}")),
         (_repeated(lo * n + hi), lambda k: DuplicateEntryError(
             f"duplicate social entry for {(user_ids[lo[k]], user_ids[hi[k]])!r}")),
         (_outside_unit(w), lambda k: ValidationError(
-            f"social weight out of range [0, 1] in entry {(s_a[k], s_b[k], _shown(s_w, k))!r}")),
+            f"social weight out of range [0, 1] in entry "
+            f"{(s_a.at(k), s_b.at(k), _shown(s_w, k))!r}")),
     )
     S = _csr(np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w]), (n, n))
 

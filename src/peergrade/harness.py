@@ -54,28 +54,30 @@ class SplitConfig:
             raise ValidationError(f"seed {self.seed} must be >= 0")
 
 
-def monte_carlo_splits(item_count: int, cfg: SplitConfig) -> list[Split]:
-    """Independent uniform random train/test partitions, deterministic per seed."""
+def _permutations(item_count: int, cfg: SplitConfig) -> tuple[int, list[np.ndarray]]:
+    """The train size and a uniform random permutation of the items per split."""
     train_size = int(round(cfg.train_fraction * item_count))
     if train_size < 1 or item_count - train_size < 1:
         raise ValidationError(
             f"fraction {cfg.train_fraction} of {item_count} items leaves a degenerate split"
         )
     rng = np.random.default_rng(cfg.seed)
-    splits = []
-    for _ in range(cfg.n_splits):
-        perm = rng.permutation(item_count)
-        splits.append(Split(train=tuple(perm[:train_size]), test=tuple(perm[train_size:])))
-    return splits
+    return train_size, [rng.permutation(item_count) for _ in range(cfg.n_splits)]
+
+
+def monte_carlo_splits(item_count: int, cfg: SplitConfig) -> list[Split]:
+    """Independent uniform random train/test partitions, deterministic per seed."""
+    train_size, perms = _permutations(item_count, cfg)
+    return [Split(train=tuple(perm[:train_size]), test=tuple(perm[train_size:])) for perm in perms]
 
 
 def labelled_splits(truth: GroundTruth, cfg: SplitConfig) -> list[Split]:
     """:func:`monte_carlo_splits` over the items with known ground truth only."""
     labelled = np.flatnonzero(truth.mask)
-    return [
-        Split(train=labelled[list(s.train)], test=labelled[list(s.test)])
-        for s in monte_carlo_splits(labelled.shape[0], cfg)
-    ]
+    train_size, perms = _permutations(labelled.shape[0], cfg)
+    return [Split(train=np.sort(labelled[perm[:train_size]]).tolist(),
+                  test=np.sort(labelled[perm[train_size:]]).tolist())
+            for perm in perms]
 
 
 def split_summary(scores: Sequence[float]) -> tuple[float, float]:

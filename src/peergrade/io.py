@@ -15,7 +15,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence, Union
@@ -26,7 +26,10 @@ from .errors import SchemaError, ValidationError
 from .graph import (
     Dataset,
     GroundTruth,
+    _Coded,
     _Columns,
+    _coded,
+    _indices,
     _outside_unit,
     _raise_first,
     _repeated,
@@ -69,8 +72,9 @@ def _numbers(values: np.ndarray) -> Iterable[str]:
     return map(texts.__getitem__, inverse.tolist())
 
 
-def _picked(ids: list[str], index: np.ndarray) -> Iterable[str]:
-    return map(ids.__getitem__, index.tolist())
+def _picked(ids: list[str], index: np.ndarray) -> list[str]:
+    """``ids[k]`` for each ``k`` in ``index``, picked by numpy: no Python int per entry."""
+    return np.array(ids, dtype=object)[index].tolist()
 
 
 def _write_csv(path: Path, header: list[str], *columns: Iterable[str]) -> None:
@@ -119,20 +123,65 @@ def save_dataset(dataset: Dataset, path) -> None:
     (out / "manifest.json").write_text(document_json("dataset-bundle", manifest), encoding="utf-8")
 
 
-def _splits_evenly(body: bytes, width: int) -> bool:
-    """Whether each line of ``body`` ends its ``width``-th field, none over the field limit.
+# _MASKS[k] keeps the top k bytes of a big-endian word; a table, since shifting
+# a uint64 by 64 bits is undefined in numpy.
+_MASKS = np.array([2**64 - 2**(64 - 8 * k) for k in range(9)], np.uint64)
 
-    The limit counts characters, so a field of more bytes than that is refused
-    even where ``csv.reader`` would take it.
+
+def _field_ends(body: bytes, width: int) -> Optional[np.ndarray]:
+    """Where each field of ``body`` ends, if each line ends its ``width``-th field, else None.
+
+    None also when a field is over the field limit.  The limit counts
+    characters, so a field of more bytes than that is refused even where
+    ``csv.reader`` would take it.
     """
     raw = np.frombuffer(body, np.uint8)
-    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))  # where each field ends
+    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
     if ends.size % width:
-        return False
+        return None
     if ends.size and np.diff(ends).max(initial=ends[0] + 1) > csv.field_size_limit() + 1:
-        return False
+        return None
     line = np.frombuffer(b"," * (width - 1) + b"\n", np.uint8)
-    return not (raw[ends].reshape(-1, width) != line).any()
+    return None if (raw[ends].reshape(-1, width) != line).any() else ends
+
+
+def _encode(words: np.ndarray, starts: np.ndarray,
+            lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dictionary codes of the fields at ``starts``, and the index of one field per code.
+
+    ``words[i]`` is the big-endian word of bytes ``i`` to ``i + 7``.  Fields
+    get codes by their first word, zero past their end; each further word
+    splits the codes of the fields still that long.  Fields hold no NUL, so
+    the padding never makes two unequal fields equal.
+    """
+    _, codes = np.unique(words[starts] & _MASKS[np.minimum(lengths, 8)], return_inverse=True)
+    live, offset = np.flatnonzero(lengths > 8), 8
+    while live.size:
+        keys = words[starts[live] + offset] & _MASKS[np.minimum(lengths[live] - offset, 8)]
+        order = np.lexsort((keys, codes[live]))
+        live, keys, old = live[order], keys[order], codes[live[order]]
+        runs = np.ones(live.size, bool)
+        runs[1:] = (old[1:] != old[:-1]) | (keys[1:] != keys[:-1])
+        codes[live] = codes.max() + np.cumsum(runs)
+        offset += 8
+        live = live[lengths[live] > offset]
+    if offset > 8:
+        _, codes = np.unique(codes, return_inverse=True)
+    one = np.zeros(codes.max(initial=-1) + 1, np.int64)
+    one[codes] = np.arange(codes.size)  # any field of a code will do
+    return codes, one
+
+
+def _decoded(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
+    """The fields ``raw[start:start + length]`` as text, decoded in one piece.
+
+    Each field is taken with the byte after it, made a ``\n``: no field holds one.
+    """
+    sizes = lengths + 1
+    ends = np.cumsum(sizes)
+    picked = raw[np.arange(sizes.sum()) + np.repeat(starts - ends + sizes, sizes)]
+    picked[ends - 1] = ord("\n")
+    return picked.tobytes().decode("utf-8").split("\n")[:-1]
 
 
 def _flat_columns(data: bytes, header: list[str]) -> Optional[list]:
@@ -141,8 +190,11 @@ def _flat_columns(data: bytes, header: list[str]) -> Optional[list]:
     That is a file with no ``"``, no NUL and no ``\r`` outside ``\r\n``,
     the exact header line, ``width - 1`` commas on every other non-blank
     line, no field over ``csv.field_size_limit()`` and a number in every last
-    field.  ``csv.reader`` splits such a file at each comma and line end, so
-    one ``split`` of the whole text gives the same fields.
+    field.  ``csv.reader`` splits such a file at each comma and line end.
+    Each column is dictionary-encoded by :func:`_encode`, so the distinct
+    fields alone are decoded (in one piece: separators are ASCII, so the body
+    is UTF-8 exactly when every field is) and the distinct numbers alone are
+    parsed.
     """
     if b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n"):
         return None
@@ -152,21 +204,36 @@ def _flat_columns(data: bytes, header: list[str]) -> Optional[list]:
     if body and not body.endswith(b"\n"):
         body += b"\n"
     width = len(header)
-    if not _splits_evenly(body, width):
+    ends = _field_ends(body, width)
+    if ends is None:
         body = re.sub(rb"(?m)^\r?\n", b"", body)  # csv.reader skips blank lines
-        if not _splits_evenly(body, width):
+        ends = _field_ends(body, width)
+        if ends is None:
             return None
+    raw = np.frombuffer(body, np.uint8)
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    # A \r is always that of a \r\n; an empty first field reads raw[-1], the last \n.
+    lengths = ends - (raw[ends - 1] == ord("\r")) - starts
+    words = np.ndarray((len(body),), ">u8", body + bytes(8), strides=(1,))
+    columns = []
+    for field_starts, field_lengths in zip(starts.reshape(-1, width).T,
+                                           lengths.reshape(-1, width).T):
+        codes, one = _encode(words, field_starts, field_lengths)
+        try:
+            columns.append(_Coded(_decoded(raw, field_starts[one], field_lengths[one]), codes))
+        except UnicodeDecodeError:
+            return None
+    *ids, numbers = columns
     try:
-        fields = body.decode("utf-8").replace("\r\n", ",").replace("\n", ",").split(",")[:-1]
-        values = fields[width - 1::width]
-        weights = np.fromiter(map(float, values), np.float64, len(values))
-    except (UnicodeDecodeError, ValueError):
+        values = np.fromiter(map(float, numbers.names), np.float64, len(numbers.names))
+    except ValueError:
         return None
-    return [fields[k::width] for k in range(width - 1)] + [weights]
+    return ids + [values[numbers.codes]]
 
 
 def _read_csv(path: Path, header: list[str], required: bool) -> list:
-    """Columns of a CSV: a list of strings per field, the last field as float64.
+    """Columns of a CSV: a ``_Coded`` id column per field, the last field as float64.
 
     The file is read once.  One that needs no quoting rules is split by
     :func:`_flat_columns`; any other is decoded whole (a byte that is not UTF-8
@@ -178,7 +245,7 @@ def _read_csv(path: Path, header: list[str], required: bool) -> list:
     if not path.exists():
         if required:
             raise ValidationError(f"missing required file {path}")
-        return [[] for _ in header[1:]] + [np.empty(0)]
+        return [_coded([]) for _ in header[1:]] + [np.empty(0)]
     data = path.read_bytes()
     columns = _flat_columns(data, header)
     if columns is not None:
@@ -213,7 +280,7 @@ def _read_csv(path: Path, header: list[str], required: bool) -> list:
                 raise SchemaError(f"{path}:{line}: cannot parse {value!r} as a number") from None
     if wrong.size:
         raise SchemaError(f"{path}:{end + 2}: expected {width} fields, got {lengths[end]}")
-    return columns[:-1] + [values]
+    return [_coded(ids) for ids in columns[:-1]] + [values]
 
 
 def load_dataset(path, scale_max: Optional[float] = None) -> Dataset:
@@ -255,14 +322,15 @@ def load_dataset(path, scale_max: Optional[float] = None) -> Dataset:
         items=declared_items,
     )
 
-    item_index = {item_id: j for j, item_id in enumerate(graph.item_ids)}
-    idx = np.fromiter(map(item_index.get, truth_items, repeat(-1)), np.int64, len(truth_items))
+    idx = _indices({item_id: j for j, item_id in enumerate(graph.item_ids)}, truth_items)
     _raise_first(
-        (idx < 0, lambda k: ValidationError(f"truth.csv references unknown item {truth_items[k]!r}")),
-        (_repeated(idx), lambda k: ValidationError(f"truth.csv lists item {truth_items[k]!r} twice")),
+        (idx < 0,
+         lambda k: ValidationError(f"truth.csv references unknown item {truth_items.at(k)!r}")),
+        (_repeated(idx),
+         lambda k: ValidationError(f"truth.csv lists item {truth_items.at(k)!r} twice")),
         (_outside_unit(values),
          lambda k: ValidationError(f"truth value {float(values[k])} for item "
-                                   f"{truth_items[k]!r} outside [0, 1]")),
+                                   f"{truth_items.at(k)!r} outside [0, 1]")),
     )
     v = np.full(graph.m, np.nan)
     v[idx] = values  # none is NaN, so NaN marks exactly the unknown items

@@ -1,10 +1,10 @@
 """The two ways a bundle CSV is read give the same bundle and the same errors.
 
-A file that needs no quoting rules is split in one piece; any other goes
-through ``csv.reader``.  Each CSV of a random bundle is written in several
-ways, one of them quoting every field so that it must take the
-``csv.reader`` path, and every way must load the same bits or raise the
-same exception class with the same message.
+A file that needs no quoting rules is read as dictionary-encoded columns by
+whole-array code; any other goes through ``csv.reader``.  Each CSV of a
+random bundle is written in several ways, one of them quoting every field so
+that it must take the ``csv.reader`` path, and every way must load the same
+bits or raise the same exception class with the same message.
 """
 
 import csv
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from peergrade import Dataset, GroundTruth, build_graph, load_dataset, save_dataset
-from peergrade.io import ASSESSMENT_HEADER, TRUTH_HEADER
+from peergrade.io import ASSESSMENT_HEADER, OWNERSHIP_HEADER, SOCIAL_HEADER, TRUTH_HEADER
 from test_bundle_reference import (
     ODD_IDS,
     add_blank_lines,
@@ -174,3 +174,60 @@ class TestOddIds:
         loaded = load_dataset(tmp_path / "new")
         assert dataset_bytes(loaded) == dataset_bytes(dataset)
         assert dataset_bytes(loaded) == dataset_bytes(reference_load_dataset(tmp_path / "ref"))
+
+
+# Ids at and around the 8-byte words the flat path compares fields by: of 0, 1,
+# 7, 8, 9, 15, 16 and 17 bytes, sharing their first 8 or 16 bytes, prefixes of
+# one another, and with a 2-byte UTF-8 character on bytes 7-8.
+EDGE_IDS = ["", "a", "abcdefg", "abcdefgh", "abcdefghi", "abcdefghijklmno", "abcdefghijklmnop",
+            "abcdefghijklmnopq", "abcdefghX", "abcdefghijklmnopX", "u1", "u10", "u1\x01",
+            "abcdefg\u00e9", "abcdefg\u00e8", "abcdefg\u00e9h"]
+# Texts of equal value that must each be parsed on their own: -0 stays -0.0.
+EDGE_NUMBERS = ["1", "1.0", "1e0", " 1", "0", "-0", "0.0", "-0.0", "0.5", ".5", "5e-1"]
+
+
+def edge_files(rng):
+    """Bundle rows over ``EDGE_IDS`` as users and as items, weights from ``EDGE_NUMBERS``."""
+    ids, count = EDGE_IDS, len(EDGE_IDS)
+    number = lambda: EDGE_NUMBERS[rng.integers(len(EDGE_NUMBERS))]
+    rows = {"assessments.csv": [ASSESSMENT_HEADER], "ownership.csv": [OWNERSHIP_HEADER],
+            "social.csv": [SOCIAL_HEADER], "truth.csv": [TRUTH_HEADER]}
+    for a in rng.permutation(count):
+        rows["assessments.csv"] += [[ids[a], ids[(a + d) % count], number()] for d in (0, 1, 3)]
+        rows["ownership.csv"].append([ids[a], ids[a], number()])
+        rows["social.csv"].append([ids[a], ids[(a + 1) % count], number()])
+        rows["truth.csv"].append([ids[a], number()])
+    return rows
+
+
+class TestEncodedColumns:
+    def test_edge_ids_and_numbers_load_as_csv_reader_and_reference(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(25)
+        for case in range(20):
+            files = edge_files(rng)
+            path = write_bundle(tmp_path / f"b{case}", None, files, "quote all")
+            expected = dataset_bytes(reference_load_dataset(path))
+            assert dataset_bytes(load_dataset(path)) == expected
+            negative = [row[0] for row in files["truth.csv"][1:] if row[1] in ("-0", "-0.0")]
+            for writing in ("crlf", "lf", "no final newline"):
+                write_bundle(path, None, files, writing)
+                with monkeypatch.context() as patch:
+                    refuse_csv_reader(patch)
+                    loaded = load_dataset(path)
+                assert dataset_bytes(loaded) == expected, writing
+            v = loaded.truth.v[[loaded.graph.item_ids.index(i) for i in negative]]
+            assert np.signbit(v).all() and not v.any()
+
+    def test_faults_name_the_first_bad_entry(self, tmp_path):
+        rng = np.random.default_rng(26)
+        for case in range(150):
+            files = edge_files(rng)
+            for _ in range(int(rng.integers(1, 4))):
+                add_fault(rng, files)
+            path = tmp_path / f"b{case}"
+            expected = outcome(lambda: dataset_bytes(reference_load_dataset(
+                write_bundle(path, None, files, "quote all"))))
+            for writing in WRITINGS:
+                got = outcome(lambda: dataset_bytes(load_dataset(
+                    write_bundle(path, None, files, writing))))
+                assert got == expected, writing

@@ -1,6 +1,7 @@
 """Splitting, scoring, experiments, and sweeps."""
 
 import concurrent.futures
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from peergrade import (
     BiasReliabilityConfig,
     GroundTruth,
     ScenarioConfig,
+    Split,
     SplitConfig,
     SweepSpec,
     TrainConfig,
@@ -62,6 +64,27 @@ class TestLabelledSplits:
         truth = GroundTruth(np.where(mask, 0.5, np.nan), mask)
         for split in labelled_splits(truth, SplitConfig(train_fraction=0.2, n_splits=4, seed=1)):
             assert sorted(split.train + split.test) == np.flatnonzero(mask).tolist()
+
+    def test_equals_monte_carlo_splits_mapped_to_labelled_items(self):
+        def composed(truth, cfg):
+            labelled = np.flatnonzero(truth.mask)
+            return [Split(train=labelled[list(s.train)], test=labelled[list(s.test)])
+                    for s in monte_carlo_splits(labelled.shape[0], cfg)]
+
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            m = int(rng.integers(1, 60))
+            mask = rng.random(m) < rng.random()
+            truth = GroundTruth(np.where(mask, 0.5, np.nan), mask)
+            cfg = SplitConfig(train_fraction=float(rng.uniform(0.01, 0.99)),
+                              n_splits=int(rng.integers(1, 5)), seed=int(rng.integers(100)))
+            try:
+                expected = composed(truth, cfg)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+                    labelled_splits(truth, cfg)
+                continue
+            assert labelled_splits(truth, cfg) == expected
 
     def test_no_labels_rejected(self):
         truth = GroundTruth(np.zeros(10), np.zeros(10, dtype=bool))

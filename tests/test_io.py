@@ -224,7 +224,7 @@ class TestRoundTrip:
 
 
 class TestMemory:
-    LIMIT_MB = 40  # the per-row loader peaked at 46 MB here
+    LIMIT_MB = 25  # the per-row loader peaked at 46 MB here, the per-row split at 27.5 MB
 
     def test_load_5k_bundle_peak(self, tmp_path):
         scenario = ScenarioConfig(n=5000, m=5000, seed=0, social=HomophilyConfig(tau=0.002),
