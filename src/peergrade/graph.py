@@ -79,8 +79,7 @@ class GroundTruth:
         mask = np.asarray(self.mask, dtype=bool)
         if v.ndim != 1 or mask.shape != v.shape:
             raise ValidationError("ground truth vector and mask must be 1-d and same length")
-        known = v[mask]
-        if known.size and (not np.all(np.isfinite(known)) or known.min() < 0.0 or known.max() > 1.0):
+        if _outside_unit(v[mask]).any():
             raise ValidationError("known ground-truth values must be finite and in [0, 1]")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "mask", mask)
@@ -157,19 +156,18 @@ class _Coded(NamedTuple):
 
 
 class _Columns(NamedTuple):
-    """One relation as the bundle loader reads it: two coded id columns, float64 weights."""
+    """One relation as two coded id columns and float64 weights; ``given`` keeps triples given."""
 
     first: _Coded
     second: _Coded
     weights: np.ndarray
+    given: Optional[list] = None
 
-
-def _columns(entries: Iterable[Triple]) -> tuple[Sequence, Sequence, Sequence]:
-    """The three columns of ``entries``, holding the objects given; a ``_Columns`` as is."""
-    if isinstance(entries, _Columns):
-        return entries
-    entries = list(entries)
-    return ([u for u, _, _ in entries], [i for _, i, _ in entries], [w for _, _, w in entries])
+    def entry(self, k: int) -> tuple:
+        """Entry ``k`` as the caller gave it; loaded ids as text, a loaded weight as a float."""
+        if self.given is not None:
+            return tuple(self.given[k])
+        return self.first.at(k), self.second.at(k), self.weights[k].item()
 
 
 def _coded(ids: Sequence) -> _Coded:
@@ -177,24 +175,13 @@ def _coded(ids: Sequence) -> _Coded:
     return _Coded(list(map(str, ids)), np.arange(len(ids)))
 
 
-def _coded_ids(columns: Sequence) -> Sequence[_Coded]:
-    """The two id columns as ``_Coded``; a ``_Columns`` holds them so already."""
-    if isinstance(columns, _Columns):
-        return columns[:2]
-    return [_coded(ids) for ids in columns[:2]]
-
-
-def _weights(values: Sequence) -> np.ndarray:
-    if isinstance(values, np.ndarray):  # a _Columns' weights
-        return values
-    return np.fromiter(map(float, values), np.float64, len(values))
-
-
-def _shown(column: Sequence, k: int):
-    """Entry ``k`` as the caller gave it: a float64 one as a Python float, a coded one as text."""
-    if isinstance(column, _Coded):
-        return column.at(k)
-    return column[k].item() if isinstance(column, np.ndarray) else column[k]
+def _as_columns(entries: Iterable[Triple]) -> _Columns:
+    """``entries`` as columns, the given triples kept; a ``_Columns`` as is."""
+    if isinstance(entries, _Columns):
+        return entries
+    given = list(entries)
+    return _Columns(_coded([u for u, _, _ in given]), _coded([i for _, i, _ in given]),
+                    np.fromiter((float(w) for _, _, w in given), np.float64, len(given)), given)
 
 
 def _indices(index: dict[str, int], ids: _Coded) -> np.ndarray:
@@ -244,39 +231,39 @@ def build_graph(
     ownerships, then social ties.
 
     ``users`` / ``items`` may declare identifiers that appear in no edge.
+    Triples are taken as columns first (ids by ``str``, weights by ``float``),
+    so a weight that ``float`` rejects raises before any entry is checked.
     """
-    given = [_columns(entries) for entries in (assessments, ownerships, social)]
-    (a_users, a_items), (o_users, o_items), (s_a, s_b) = map(_coded_ids, given)
-    uidx, user_ids = _index_map({*users, *a_users.names, *o_users.names, *s_a.names, *s_b.names})
-    iidx, item_ids = _index_map({*items, *a_items.names, *o_items.names})
+    assess, own, ties = map(_as_columns, (assessments, ownerships, social))
+    uidx, user_ids = _index_map({*users, *assess.first.names, *own.first.names,
+                                 *ties.first.names, *ties.second.names})
+    iidx, item_ids = _index_map({*items, *assess.second.names, *own.second.names})
     n, m = len(user_ids), len(item_ids)
 
-    def bipartite(kind, given, ids):
-        w = _weights(given[2])
-        rows, cols = _indices(uidx, ids[0]), _indices(iidx, ids[1])
+    def bipartite(kind, rel):
+        rows, cols = _indices(uidx, rel.first), _indices(iidx, rel.second)
         _raise_first(
             (_repeated(rows * m + cols), lambda k: DuplicateEntryError(
-                f"duplicate {kind} entry for {(ids[0].at(k), ids[1].at(k))!r}")),
-            (_outside_unit(w), lambda k: ValidationError(
-                f"{kind} weight out of range [0, 1] in entry "
-                f"{tuple(_shown(column, k) for column in given)!r}")),
+                f"duplicate {kind} entry for {(rel.first.at(k), rel.second.at(k))!r}")),
+            (_outside_unit(rel.weights), lambda k: ValidationError(
+                f"{kind} weight out of range [0, 1] in entry {rel.entry(k)!r}")),
         )
-        return _csr(rows, cols, w, (n, m))
+        return _csr(rows, cols, rel.weights, (n, m))
 
-    A = bipartite("assessment", given[0], (a_users, a_items))
-    O = bipartite("ownership", given[1], (o_users, o_items))
+    A, O = bipartite("assessment", assess), bipartite("ownership", own)
 
-    s_w = given[2][2]
-    a, b, w = _indices(uidx, s_a), _indices(uidx, s_b), _weights(s_w)
+    a, b, w = _indices(uidx, ties.first), _indices(uidx, ties.second), ties.weights
     lo, hi = np.minimum(a, b), np.maximum(a, b)  # index order is identifier order
+
+    def shown(k):  # a social entry names its users as text
+        return ties.first.at(k), ties.second.at(k), ties.entry(k)[2]
+
     _raise_first(
-        (a == b, lambda k: ValidationError(
-            f"self-edge in social list: {(s_a.at(k), s_b.at(k), _shown(s_w, k))!r}")),
+        (a == b, lambda k: ValidationError(f"self-edge in social list: {shown(k)!r}")),
         (_repeated(lo * n + hi), lambda k: DuplicateEntryError(
             f"duplicate social entry for {(user_ids[lo[k]], user_ids[hi[k]])!r}")),
         (_outside_unit(w), lambda k: ValidationError(
-            f"social weight out of range [0, 1] in entry "
-            f"{(s_a.at(k), s_b.at(k), _shown(s_w, k))!r}")),
+            f"social weight out of range [0, 1] in entry {shown(k)!r}")),
     )
     S = _csr(np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w]), (n, n))
 
@@ -372,7 +359,7 @@ def validate(graph: SoanGraph) -> ValidationReport:
         return ValidationReport(errors, warnings)
 
     for name, mat in (("S", graph.S), ("O", graph.O), ("A", graph.A)):
-        if mat.nnz and (not np.all(np.isfinite(mat.data)) or mat.data.min() < 0.0 or mat.data.max() > 1.0):
+        if _outside_unit(mat.data).any():
             errors.append(f"{name} contains weights outside [0, 1]")
 
     if np.count_nonzero(graph.S.diagonal()):

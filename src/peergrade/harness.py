@@ -54,30 +54,23 @@ class SplitConfig:
             raise ValidationError(f"seed {self.seed} must be >= 0")
 
 
-def _permutations(item_count: int, cfg: SplitConfig) -> tuple[int, list[np.ndarray]]:
-    """The train size and a uniform random permutation of the items per split."""
+def monte_carlo_splits(item_count: int, cfg: SplitConfig) -> list[Split]:
+    """Independent uniform random train/test partitions, deterministic per seed."""
     train_size = int(round(cfg.train_fraction * item_count))
     if train_size < 1 or item_count - train_size < 1:
         raise ValidationError(
             f"fraction {cfg.train_fraction} of {item_count} items leaves a degenerate split"
         )
     rng = np.random.default_rng(cfg.seed)
-    return train_size, [rng.permutation(item_count) for _ in range(cfg.n_splits)]
-
-
-def monte_carlo_splits(item_count: int, cfg: SplitConfig) -> list[Split]:
-    """Independent uniform random train/test partitions, deterministic per seed."""
-    train_size, perms = _permutations(item_count, cfg)
-    return [Split(train=tuple(perm[:train_size]), test=tuple(perm[train_size:])) for perm in perms]
+    return [Split(train=np.sort(perm[:train_size]).tolist(), test=np.sort(perm[train_size:]).tolist())
+            for perm in (rng.permutation(item_count) for _ in range(cfg.n_splits))]
 
 
 def labelled_splits(truth: GroundTruth, cfg: SplitConfig) -> list[Split]:
     """:func:`monte_carlo_splits` over the items with known ground truth only."""
     labelled = np.flatnonzero(truth.mask)
-    train_size, perms = _permutations(labelled.shape[0], cfg)
-    return [Split(train=np.sort(labelled[perm[:train_size]]).tolist(),
-                  test=np.sort(labelled[perm[train_size:]]).tolist())
-            for perm in perms]
+    return [Split(train=labelled[list(split.train)], test=labelled[list(split.test)])
+            for split in monte_carlo_splits(labelled.shape[0], cfg)]
 
 
 def split_summary(scores: Sequence[float]) -> tuple[float, float]:

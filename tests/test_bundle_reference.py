@@ -478,3 +478,32 @@ class TestFaultsMatchReference:
                 entries.insert(int(rng.integers(len(entries) + 1)), bad)
             assert outcome(lambda: graph_bytes(build_graph(*lists))) == \
                 outcome(lambda: graph_bytes(reference_build_graph(*lists)))
+
+    def test_build_graph_faults_as_given(self):
+        # Int ids and int or np.float64 weights: each message shows its entry as
+        # the reference does, the given objects for an assessment or ownership
+        # weight and the ids as text for a social tie.
+        KINDS = ("assessment", "ownership", "social")
+        rng = np.random.default_rng(16)
+        codes = {}
+        as_int = lambda name: codes.setdefault(name, len(codes))
+        as_given = lambda w: int(w) if w in (0.0, 1.0) and rng.random() < 0.5 else np.float64(w)
+        raised = set()
+        for _ in range(400):
+            lists = [[(as_int(a), as_int(b), as_given(w)) for a, b, w in entries]
+                     for entries in random_inputs(rng)[:3]]
+            for _ in range(int(rng.integers(1, 4))):
+                entries = lists[int(rng.integers(3))]
+                if not entries:
+                    continue
+                u, i, w = entries[rng.integers(len(entries))]
+                bad = [(u, i, np.float64(rng.random())), (u, i, np.float64("nan")), (u, i, -1),
+                       (u, i, 2), (u, u, 1), (i, u, np.float64(0.5))][rng.integers(6)]
+                entries.insert(int(rng.integers(len(entries) + 1)), bad)
+            expected = outcome(lambda: graph_bytes(reference_build_graph(*lists)))
+            assert outcome(lambda: graph_bytes(build_graph(*lists))) == expected
+            if expected[0] != "ok":
+                raised.add(expected[1].partition("(")[0])
+        assert raised == {f"duplicate {kind} entry for " for kind in KINDS} | {
+            f"{kind} weight out of range [0, 1] in entry " for kind in KINDS} | {
+            "self-edge in social list: "}  # the faults reach every message

@@ -12,6 +12,7 @@ from peergrade import (
     Split,
     ValidationError,
     build_graph,
+    from_matrices,
     graphs_equal,
     propagation_matrix,
     validate,
@@ -173,12 +174,29 @@ class TestValidate:
         assert not report.ok
         assert any("symmetric" in e for e in report.errors)
 
+    def test_asymmetric_social_weights_are_fatal(self):
+        # The pattern is symmetric; only the weights of (u1, u2) and (u2, u1) differ.
+        g = build_graph([("u1", "i1", 0.8), ("u2", "i1", 0.6)])
+        bad_S = sp.csr_matrix(np.array([[0.0, 0.5], [0.3, 0.0]]))
+        broken = SoanGraph(n=g.n, m=g.m, S=bad_S, O=g.O, A=g.A,
+                           user_ids=g.user_ids, item_ids=g.item_ids)
+        assert validate(broken).errors == ["S is not symmetric"]
+        with pytest.raises(ValidationError, match="^S is not symmetric$"):
+            from_matrices(bad_S, g.O, g.A, g.user_ids, g.item_ids)
+
     def test_out_of_range_weight_is_fatal(self):
         g = build_graph([("u1", "i1", 0.8)])
         bad_A = sp.csr_matrix(np.array([[1.8]]))
         broken = SoanGraph(n=1, m=1, S=g.S, O=g.O, A=bad_A,
                            user_ids=g.user_ids, item_ids=g.item_ids)
         assert not validate(broken).ok
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -0.5, 1.0 + 2**-52])
+    def test_weight_outside_unit_interval_is_fatal(self, weight):
+        g = build_graph([("u1", "i1", 0.8)])
+        broken = SoanGraph(n=1, m=1, S=g.S, O=g.O, A=sp.csr_matrix(np.array([[weight]])),
+                           user_ids=g.user_ids, item_ids=g.item_ids)
+        assert validate(broken).errors == ["A contains weights outside [0, 1]"]
 
     def test_nonzero_social_diagonal_is_fatal(self):
         g = build_graph([("u1", "i1", 0.8), ("u2", "i1", 0.6)])
@@ -192,6 +210,15 @@ class TestDomainTypes:
     def test_ground_truth_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
             GroundTruth.full([0.5, 1.2])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.5, 1.0 + 2**-52])
+    def test_ground_truth_rejects_outside_unit_interval(self, value):
+        with pytest.raises(ValidationError,
+                           match=r"^known ground-truth values must be finite and in \[0, 1\]$"):
+            GroundTruth.full([0.5, value])
+
+    def test_ground_truth_accepts_unit_interval_ends(self):
+        assert GroundTruth.full([0.0, -0.0, 1.0, 5e-324]).mask.all()
 
     def test_ground_truth_ignores_unknown_entries(self):
         gt = GroundTruth(np.array([np.nan, 0.5]), np.array([False, True]))

@@ -86,6 +86,21 @@ class TestLabelledSplits:
                 continue
             assert labelled_splits(truth, cfg) == expected
 
+    def test_draws_through_monte_carlo_splits(self, monkeypatch):
+        # The benchmark times the split draws by rebinding this module global.
+        calls = []
+        draw = monte_carlo_splits
+
+        def counted(item_count, cfg):
+            calls.append(item_count)
+            return draw(item_count, cfg)
+
+        monkeypatch.setattr("peergrade.harness.monte_carlo_splits", counted)
+        mask = np.arange(30) % 2 == 0
+        truth = GroundTruth(np.where(mask, 0.5, np.nan), mask)
+        labelled_splits(truth, SplitConfig(train_fraction=0.2, n_splits=2, seed=0))
+        assert calls == [15]
+
     def test_no_labels_rejected(self):
         truth = GroundTruth(np.zeros(10), np.zeros(10, dtype=bool))
         with pytest.raises(ValidationError):
