@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .graph import SoanGraph
+from .graph import SoanGraph, _raise_first
 
 
 def _graded(graph: SoanGraph, item_ids: Sequence[int]) -> tuple:
@@ -22,14 +22,13 @@ def _graded(graph: SoanGraph, item_ids: Sequence[int]) -> tuple:
     """
     csc = graph.A.tocsc()
     ids = np.asarray(item_ids, dtype=np.int64)
-    bad = (ids < 0) | (ids >= graph.m)
-    bad[~bad] = np.diff(csc.indptr)[ids[~bad]] == 0
-    if bad.any():
-        i = int(ids[np.argmax(bad)])
-        if not 0 <= i < graph.m:
-            raise ValidationError(f"unknown item index {i} (m={graph.m})")
-        raise ValidationError(f"item {graph.item_ids[i]!r} has no assessments")
-    return csc, csc.indptr[ids], np.diff(csc.indptr)[ids]
+    unknown = (ids < 0) | (ids >= graph.m)
+    counts = np.zeros_like(csc.indptr, shape=ids.shape)
+    counts[~unknown] = np.diff(csc.indptr)[ids[~unknown]]  # read at known ids only: m may be 0
+    _raise_first((unknown, lambda k: ValidationError(f"unknown item index {ids[k]} (m={graph.m})")),
+                 (counts == 0, lambda k: ValidationError(
+                     f"item {graph.item_ids[ids[k]]!r} has no assessments")))
+    return csc, csc.indptr[ids], counts
 
 
 def average_predict(graph: SoanGraph, item_ids: Sequence[int]) -> np.ndarray:

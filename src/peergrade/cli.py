@@ -3,7 +3,7 @@
 All numeric output goes to stdout as canonical JSON or CSV; progress and
 timing go to stderr.  For a fixed argv, fixed input files, and fixed seed
 the stdout bytes are identical across runs.  Exit codes: 0 success, 2 usage
-error, 3 validation error, 4 runtime failure.
+error, 3 validation error, 4 runtime failure (running out of memory too).
 """
 
 from __future__ import annotations
@@ -226,11 +226,8 @@ def dispatch(argv) -> int:
     except ValidationError as exc:
         _log(f"error: {exc}")
         return EXIT_VALIDATION
-    except PeergradeError as exc:
-        _log(f"error: {exc}")
-        return EXIT_RUNTIME
-    except OSError as exc:
-        _log(f"error: {exc}")
+    except (PeergradeError, OSError, MemoryError) as exc:
+        _log(f"error: {str(exc) or type(exc).__name__}")  # a bare MemoryError() has no text
         return EXIT_RUNTIME
 
 

@@ -404,8 +404,6 @@ def graphs_equal(a: SoanGraph, b: SoanGraph) -> bool:
     for ma, mb in ((a.S, b.S), (a.O, b.O), (a.A, b.A)):
         ra, ca, va = _triples(ma)
         rb, cb, vb = _triples(mb)
-        if len(va) != len(vb):
-            return False
         if not (np.array_equal(ra, rb) and np.array_equal(ca, cb) and _same_values(va, vb)):
             return False
     return True

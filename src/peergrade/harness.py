@@ -17,7 +17,7 @@ import numpy as np
 
 from . import baselines
 from .errors import PeergradeError, ValidationError
-from .graph import Dataset, GroundTruth, Split, propagation_matrix
+from .graph import Dataset, GroundTruth, Split, _raise_first, propagation_matrix
 from .model import TrainConfig, initial_features, predict, train
 from .schema import document_json, to_doc
 from .synthetic import (
@@ -89,6 +89,8 @@ def rmse(predictions: np.ndarray, truth: GroundTruth, ids: Sequence[int]) -> flo
         raise ValidationError(
             f"got {predictions.shape[0]} predictions for {ids.shape[0]} items"
         )
+    _raise_first(((ids < 0) | (ids >= len(truth)),
+                  lambda k: ValidationError(f"unknown item index {ids[k]} (m={len(truth)})")))
     if not np.all(truth.mask[ids]):
         raise ValidationError("rmse requires known ground truth for every id")
     err = truth.v[ids] - predictions
@@ -152,19 +154,16 @@ def run_experiment(
     per_split: dict[str, list[float]] = {name: [] for name in methods}
 
     for index, split in enumerate(splits):
-        test_ids = split.test
-        if METHOD_GCN in methods:
-            cfg = replace(train_cfg, seed=train_cfg.seed + index)
-            params, _ = train(replace(dataset, split=split), cfg, prop=prop)
-            h0 = initial_features(cfg.features, prop)
-            preds = predict(params, prop, h0, test_ids)
-            per_split[METHOD_GCN].append(rmse(preds, dataset.truth, test_ids))
-        if METHOD_AVERAGE in methods:
-            preds = baselines.average_predict(dataset.graph, test_ids)
-            per_split[METHOD_AVERAGE].append(rmse(preds, dataset.truth, test_ids))
-        if METHOD_MEDIAN in methods:
-            preds = baselines.median_predict(dataset.graph, test_ids)
-            per_split[METHOD_MEDIAN].append(rmse(preds, dataset.truth, test_ids))
+        for name in per_split:  # each method once, however often it is named
+            if name == METHOD_GCN:
+                cfg = replace(train_cfg, seed=train_cfg.seed + index)
+                params, _ = train(replace(dataset, split=split), cfg, prop=prop)
+                preds = predict(params, prop, initial_features(cfg.features, prop), split.test)
+            elif name == METHOD_AVERAGE:
+                preds = baselines.average_predict(dataset.graph, split.test)
+            else:
+                preds = baselines.median_predict(dataset.graph, split.test)
+            per_split[name].append(rmse(preds, dataset.truth, split.test))
 
     mean, std = {}, {}
     for name, vals in per_split.items():

@@ -302,10 +302,8 @@ def load_dataset(path, scale_max: Optional[float] = None) -> Dataset:
     declared_users = list(map(str, manifest.user_ids))
     declared_items = list(map(str, manifest.item_ids))
     for key, ids, name in (("n", declared_users, "user_ids"), ("m", declared_items, "item_ids")):
-        if len(set(ids)) < len(ids):  # so that n and m count distinct ids
-            first: dict[str, int] = {}
-            k = next(k for k, id_ in enumerate(ids) if first.setdefault(id_, k) != k)
-            raise SchemaError(f"/{name}/{k}: {ids[k]!r} repeats /{name}/{first[ids[k]]}")
+        _raise_first((_repeated(np.array(ids, dtype=object)), lambda k: SchemaError(
+            f"/{name}/{k}: {ids[k]!r} repeats /{name}/{ids.index(ids[k])}")))  # n, m count ids once
         count = getattr(manifest, key)
         if count is not None and count != len(ids):
             raise SchemaError(f"/{key}: {count} does not match the {len(ids)} entries of /{name}")

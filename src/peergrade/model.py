@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from scipy.special import expit as sigmoid
 
 from .errors import SchemaError, TrainingDivergedError, ValidationError
-from .graph import Dataset, GroundTruth, PropagationMatrix, propagation_matrix
+from .graph import Dataset, GroundTruth, PropagationMatrix, _raise_first, propagation_matrix
 from .schema import document_json, from_doc, read_document, to_doc
 
 FEATURE_KINDS = ("ones", "one-hot")
@@ -322,9 +322,8 @@ def predict(
 ) -> np.ndarray:
     """Predicted valuations for the requested items, in request order."""
     ids = np.asarray(item_ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= prop.m):
-        bad = ids[(ids < 0) | (ids >= prop.m)][0]
-        raise ValidationError(f"unknown item index {bad} (m={prop.m})")
+    _raise_first(((ids < 0) | (ids >= prop.m),
+                  lambda k: ValidationError(f"unknown item index {ids[k]} (m={prop.m})")))
     preds, _ = forward(params, prop, h0)
     return preds[ids]
 

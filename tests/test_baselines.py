@@ -132,3 +132,8 @@ class TestEqualsPerItemLoop:
                 per_item_reference(g, ids, np.mean)
             with pytest.raises(ValidationError, match=f"^{re.escape(str(expected.value))}$"):
                 fn(g, ids)
+
+    @pytest.mark.parametrize("fn", [average_predict, median_predict])
+    def test_unknown_index_on_a_graph_without_items(self, fn):
+        with pytest.raises(ValidationError, match=r"^unknown item index 0 \(m=0\)$"):
+            fn(build_graph([]), [0])

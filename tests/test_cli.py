@@ -500,3 +500,73 @@ class TestUndecodableBundle:
         code, err = self.run_baseline(bundle_dir, split_file, capsys)
         assert code == 3
         assert f"{path}:3: field larger than field limit" in err and "Traceback" not in err
+
+
+class TestFailuresNameTheirCause:
+    """Each failure exits with its code and one ``error:`` line, never a traceback."""
+
+    def run(self, argv, capsys):
+        capsys.readouterr()
+        code = dispatch(argv)
+        return code, capsys.readouterr().err
+
+    def test_empty_assessments_file(self, tmp_path, split_file, capsys):
+        src = tmp_path / "raw"
+        src.mkdir()
+        (src / "assessments.csv").write_text("")
+        (src / "truth.csv").write_text("item_id,value\n")
+        code, err = self.run(["baseline", "--method", "average", "--data", str(src),
+                              "--split", str(split_file)], capsys)
+        assert (code, err) == (3, f"error: {src / 'assessments.csv'}: empty file, "
+                                  "expected header grader_id,item_id,grade\n")
+
+    def test_data_that_is_a_file(self, split_file, capsys):
+        code, err = self.run(["baseline", "--method", "average", "--data", str(split_file),
+                              "--split", str(split_file)], capsys)
+        assert (code, err) == (3, f"error: dataset bundle {split_file} is not a directory\n")
+
+    def test_truncated_json_config(self, tmp_path, bundle_dir, capsys):
+        cfg = tmp_path / "train.json"
+        cfg.write_text('{"schema_version": 1, "epochs"')
+        code, err = self.run(["train", "--data", str(bundle_dir), "--train-config", str(cfg),
+                              "--out", str(tmp_path / "m.json")], capsys)
+        assert code == 3
+        assert err.startswith(f"error: {cfg}: invalid JSON (") and err.endswith(")\n")
+        assert err.count("\n") == 1
+
+    def test_top_level_json_array(self, tmp_path, bundle_dir, capsys):
+        cfg = tmp_path / "train.json"
+        cfg.write_text("[1, 2]")
+        code, err = self.run(["train", "--data", str(bundle_dir), "--train-config", str(cfg),
+                              "--out", str(tmp_path / "m.json")], capsys)
+        assert (code, err) == (3, f"error: {cfg}: top-level JSON value must be an object\n")
+
+    def test_non_numeric_scale_maximum(self, tmp_path, capsys):
+        src = tmp_path / "raw"
+        src.mkdir()
+        (src / "assessments.csv").write_text("grader_id,item_id,grade\nu1,i1,8\n")
+        (src / "truth.csv").write_text("item_id,value\ni1,7\n")
+        code, err = self.run(["import", "--from", str(src), "--scale", "max=abc",
+                              "--out", str(tmp_path / "x")], capsys)
+        assert (code, err) == (3, "error: --scale expects a numeric maximum, got 'max=abc'\n")
+
+    def test_train_without_ground_truth(self, tmp_path, bundle_dir, train_file, capsys):
+        (bundle_dir / "truth.csv").write_text("item_id,value\n")
+        code, err = self.run(["train", "--data", str(bundle_dir), "--train-config",
+                              str(train_file), "--out", str(tmp_path / "m.json")], capsys)
+        assert (code, err) == (3, "error: dataset has no ground-truth labels to train on\n")
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"),
+         "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"),
+        (MemoryError(), "MemoryError"),
+    ], ids=["numpy-text", "bare"])
+    def test_out_of_memory_is_4(self, tmp_path, bundle_dir, train_file, capsys, monkeypatch,
+                                error, line):
+        def out_of_memory(*args, **kwargs):  # allocates nothing
+            raise error
+
+        monkeypatch.setattr("peergrade.cli.train", out_of_memory)
+        code, err = self.run(["train", "--data", str(bundle_dir), "--train-config",
+                              str(train_file), "--out", str(tmp_path / "m.json")], capsys)
+        assert (code, err) == (4, f"error: {line}\n")

@@ -12,6 +12,7 @@ from peergrade import (
     Split,
     ValidationError,
     build_graph,
+    datasets_equal,
     from_matrices,
     graphs_equal,
     propagation_matrix,
@@ -244,3 +245,35 @@ class TestDomainTypes:
         g2 = build_graph([("u1", "i1", 0.7)])
         assert graphs_equal(g1, g1)
         assert not graphs_equal(g1, g2)
+
+
+class TestEquality:
+    BASE = [("u1", "i1", 0.8), ("u2", "i1", 0.0)]
+
+    @pytest.mark.parametrize("other", [
+        build_graph(BASE, items=["i3"]),  # ids differ
+        build_graph(BASE[:1], users=["u2"], items=["i2"]),  # entry count differs
+        build_graph(BASE[:1] + [("u2", "i2", 0.0)]),  # an entry moves, weights agree
+        build_graph(BASE[:1] + [("u2", "i1", 0.5)], items=["i2"]),  # one weight differs
+        build_graph(BASE[:1] + [("u2", "i1", -0.0)], items=["i2"]),  # -0.0 against 0.0
+    ])
+    def test_graphs_equal_says_no(self, other):
+        g = build_graph(self.BASE, items=["i2"])
+        assert graphs_equal(g, build_graph(self.BASE, items=["i2"]))
+        assert not graphs_equal(g, other)
+        assert not graphs_equal(other, g)
+
+    @pytest.mark.parametrize("v, mask, split", [
+        ([0.0, np.nan, 0.25], [True, False, True], None),  # the mask differs, known values agree
+        ([0.0, 0.25, np.nan], [True, True, False], Split(train=(1,), test=(0,))),  # the split
+        ([0.0, 0.75, np.nan], [True, True, False], None),  # one known truth value differs
+        ([-0.0, 0.25, np.nan], [True, True, False], None),  # -0.0 against 0.0
+    ])
+    def test_datasets_equal_says_no(self, v, mask, split):
+        g = build_graph([("u1", "i1", 0.8), ("u1", "i2", 0.4), ("u1", "i3", 0.1)])
+        truth = GroundTruth(np.array([0.0, 0.25, np.nan]), np.array([True, True, False]))
+        ds = Dataset(graph=g, truth=truth)
+        other = Dataset(graph=g, truth=GroundTruth(np.array(v), np.array(mask)), split=split)
+        assert datasets_equal(ds, Dataset(graph=g, truth=truth))
+        assert not datasets_equal(ds, other)
+        assert not datasets_equal(other, ds)

@@ -133,6 +133,12 @@ class TestRmse:
         with pytest.raises(ValidationError):
             rmse(np.array([]), GroundTruth.full([0.5]), [])
 
+    @pytest.mark.parametrize("item", [-1, 3])
+    def test_unknown_id_named(self, item):
+        # -1 would score the last item, 3 would raise an IndexError
+        with pytest.raises(ValidationError, match=rf"^unknown item index {item} \(m=3\)$"):
+            rmse(np.array([0.9]), GroundTruth.full([0.1, 0.2, 0.9]), [item])
+
 
 class TestRunExperiment:
     def test_zero_noise_average_is_error_free(self):
@@ -187,6 +193,15 @@ class TestRunExperiment:
         joint = run_experiment(scenario, ["gcn-soan", "average"], split_cfg, FAST_TRAIN)
         solo = run_experiment(scenario, ["average"], split_cfg)
         assert joint.per_split["average"] == solo.per_split["average"]
+
+    def test_scores_do_not_depend_on_method_order_or_repeats(self):
+        scenario = default_scenario(seed=3, n=30, m=30)
+        split_cfg = SplitConfig(train_fraction=0.2, n_splits=2, seed=5)
+        plain = run_experiment(scenario, ["gcn-soan", "average", "median"], split_cfg, FAST_TRAIN)
+        mixed = run_experiment(scenario, ["median", "gcn-soan", "average", "median"],
+                               split_cfg, FAST_TRAIN)
+        assert mixed.per_split == plain.per_split
+        assert all(len(scores) == 2 for scores in mixed.per_split.values())
 
     def test_report_is_deterministic(self):
         scenario = default_scenario(seed=4, n=50, m=50)
