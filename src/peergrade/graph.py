@@ -33,7 +33,8 @@ class SoanGraph:
 
     Matrices are CSR with canonically sorted indices; explicit zeros are
     preserved.  ``user_ids[i]`` / ``item_ids[j]`` give the external string
-    identifier of row ``i`` / column ``j``.
+    identifier of row ``i`` / column ``j``.  Building one checks the sizes:
+    ``n`` and ``m`` count the ids, ``S`` is n x n, ``O`` and ``A`` are n x m.
     """
 
     n: int
@@ -43,6 +44,15 @@ class SoanGraph:
     A: sp.csr_matrix
     user_ids: tuple[str, ...]
     item_ids: tuple[str, ...]
+
+    def __post_init__(self):
+        n, m = self.n, self.m
+        if (len(self.user_ids), len(self.item_ids)) != (n, m):
+            raise ValidationError(f"id counts {len(self.user_ids)}, {len(self.item_ids)} "
+                                  f"disagree with n={n}, m={m}")
+        if self.S.shape != (n, n) or self.O.shape != (n, m) or self.A.shape != (n, m):
+            raise ValidationError(f"relation shapes {self.S.shape}, {self.O.shape}, "
+                                  f"{self.A.shape} disagree with n={n}, m={m}")
 
 
 @dataclass(frozen=True)
@@ -278,17 +288,12 @@ def from_matrices(
     item_ids: Sequence[str],
 ) -> SoanGraph:
     """Wrap already-built sparse relations, enforcing the graph invariants."""
-    n, m = len(user_ids), len(item_ids)
     S = sp.csr_matrix(S, copy=True)
     O = sp.csr_matrix(O, copy=True)
     A = sp.csr_matrix(A, copy=True)
     for mat in (S, O, A):
         mat.sort_indices()
-    if S.shape != (n, n) or O.shape != (n, m) or A.shape != (n, m):
-        raise ValidationError(
-            f"relation shapes {S.shape}, {O.shape}, {A.shape} disagree with n={n}, m={m}"
-        )
-    graph = SoanGraph(n=n, m=m, S=S, O=O, A=A,
+    graph = SoanGraph(n=len(user_ids), m=len(item_ids), S=S, O=O, A=A,
                       user_ids=tuple(user_ids), item_ids=tuple(item_ids))
     report = validate(graph)
     if not report.ok:
@@ -348,15 +353,6 @@ def validate(graph: SoanGraph) -> ValidationReport:
     """Check structural invariants; isolation is reported but not fatal."""
     errors: list[str] = []
     warnings: list[str] = []
-    n, m = graph.n, graph.m
-
-    if graph.S.shape != (n, n):
-        errors.append(f"S has shape {graph.S.shape}, expected {(n, n)}")
-    for name, mat in (("O", graph.O), ("A", graph.A)):
-        if mat.shape != (n, m):
-            errors.append(f"{name} has shape {mat.shape}, expected {(n, m)}")
-    if errors:
-        return ValidationReport(errors, warnings)
 
     for name, mat in (("S", graph.S), ("O", graph.O), ("A", graph.A)):
         if _outside_unit(mat.data).any():

@@ -86,9 +86,8 @@ def rmse(predictions: np.ndarray, truth: GroundTruth, ids: Sequence[int]) -> flo
         raise ValidationError("rmse over an empty id set")
     predictions = np.asarray(predictions, dtype=np.float64)
     if predictions.shape != ids.shape:
-        raise ValidationError(
-            f"got {predictions.shape[0]} predictions for {ids.shape[0]} items"
-        )
+        raise ValidationError(f"predictions of shape {predictions.shape} do not match "
+                              f"item ids of shape {ids.shape}")
     _raise_first(((ids < 0) | (ids >= len(truth)),
                   lambda k: ValidationError(f"unknown item index {ids[k]} (m={len(truth)})")))
     if not np.all(truth.mask[ids]):

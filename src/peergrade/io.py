@@ -21,6 +21,7 @@ from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import SchemaError, ValidationError
 from .graph import (
@@ -100,20 +101,15 @@ def save_dataset(dataset: Dataset, path) -> None:
     graph = dataset.graph
     users, items = _encoded(graph.user_ids), _encoded(graph.item_ids)
 
-    def write_relation(name, header, col_ids, rows, cols, vals) -> None:
-        _write_csv(out / name, header, _picked(users, rows), _picked(col_ids, cols), _numbers(vals))
-
-    write_relation("assessments.csv", ASSESSMENT_HEADER, items, *_triples(graph.A))
-    for name, header, col_ids, mat in (("ownership.csv", OWNERSHIP_HEADER, items, graph.O),
-                                       ("social.csv", SOCIAL_HEADER, users, graph.S)):
-        if not mat.nnz:
+    # S is written as its upper triangle: each undirected edge once.
+    for name, header, col_ids, mat in (("assessments.csv", ASSESSMENT_HEADER, items, graph.A),
+                                       ("ownership.csv", OWNERSHIP_HEADER, items, graph.O),
+                                       ("social.csv", SOCIAL_HEADER, users, sp.triu(graph.S, 1))):
+        if not mat.nnz and name != "assessments.csv":
             (out / name).unlink(missing_ok=True)  # else an earlier save's file would be loaded
             continue
         rows, cols, vals = _triples(mat)
-        if mat is graph.S:
-            upper = rows < cols  # undirected edges written once
-            rows, cols, vals = rows[upper], cols[upper], vals[upper]
-        write_relation(name, header, col_ids, rows, cols, vals)
+        _write_csv(out / name, header, _picked(users, rows), _picked(col_ids, cols), _numbers(vals))
 
     known = np.flatnonzero(dataset.truth.mask)
     _write_csv(out / "truth.csv", TRUTH_HEADER,

@@ -177,8 +177,9 @@ def _undirected(r: np.ndarray, c: np.ndarray, n: int) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(n, n))
 
 
-def _owner_maps(O: sp.spmatrix, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _owner_maps(O: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
     """Return (item owned by each user, owner of each item) for one-to-one O."""
+    n, m = O.shape
     coo = O.tocoo()
     user_counts = np.bincount(coo.row, minlength=n)
     item_counts = np.bincount(coo.col, minlength=m)
@@ -193,8 +194,7 @@ def _owner_maps(O: sp.spmatrix, n: int, m: int) -> tuple[np.ndarray, np.ndarray]
 
 def gen_social_homophily(truth: GroundTruth, O: sp.spmatrix, cfg: HomophilyConfig) -> sp.csr_matrix:
     """Deterministic social net: users linked iff their items' values are within tau."""
-    n = O.shape[0]
-    item_of, _ = _owner_maps(O, n, O.shape[1])
+    item_of, _ = _owner_maps(O)
     if not np.all(truth.mask[item_of]):
         raise ValidationError("homophily generation requires known values for all owned items")
     # Imported here: loading scipy.spatial adds ~10 MB of RSS to every process.
@@ -203,7 +203,7 @@ def gen_social_homophily(truth: GroundTruth, O: sp.spmatrix, cfg: HomophilyConfi
     # 1-d ball query: exactly the pairs with |a - b| <= tau, in O(n log n + edges).
     tree = cKDTree(truth.v[item_of][:, None])
     pairs = tree.query_pairs(cfg.tau, p=np.inf, output_type="ndarray")
-    return _undirected(pairs[:, 0], pairs[:, 1], n)
+    return _undirected(pairs[:, 0], pairs[:, 1], O.shape[0])
 
 
 def _grader_sets(m: int, n: int, k: int, owner_of: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -230,7 +230,7 @@ def gen_assess_strategic(
 ) -> sp.csr_matrix:
     """Friends of the owner award 1.0; everyone else grades Normal(v_i, sigma_h)."""
     n, m = O.shape
-    _, owner_of = _owner_maps(O, n, m)
+    _, owner_of = _owner_maps(O)
     graders = _grader_sets(m, n, cfg.k, owner_of, rng)
     items = np.repeat(np.arange(m), cfg.k)
     owners = owner_of[items]
@@ -248,7 +248,7 @@ def gen_assess_bias_reliability(
 ) -> sp.csr_matrix:
     """Biased, reliability-scaled grades clamped to [0, 1]."""
     n, m = O.shape
-    item_of, owner_of = _owner_maps(O, n, m)
+    item_of, owner_of = _owner_maps(O)
     if not np.all(truth.mask[item_of]):
         raise ValidationError("bias-reliability generation requires known values for all owned items")
     sigma_of_user = cfg.sigma_max * (1.0 - cfg.beta * truth.v[item_of])

@@ -1,5 +1,8 @@
 """Graph construction, propagation operator, and validation."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -207,6 +210,9 @@ class TestValidate:
         assert not validate(broken).ok
 
 
+TWO_USERS = build_graph([("u1", "i1", 0.8), ("u2", "i1", 0.6)])
+
+
 class TestDomainTypes:
     def test_ground_truth_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -245,6 +251,30 @@ class TestDomainTypes:
         g2 = build_graph([("u1", "i1", 0.7)])
         assert graphs_equal(g1, g1)
         assert not graphs_equal(g1, g2)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: GroundTruth(np.zeros((1, 2)), np.ones((1, 2), bool)),
+         "ground truth vector and mask must be 1-d and same length"),
+        (lambda: GroundTruth(np.zeros(2), np.ones(3, bool)),
+         "ground truth vector and mask must be 1-d and same length"),
+        (lambda: Dataset(graph=TWO_USERS, truth=GroundTruth.full([0.5]),
+                         split=Split(train=(0,), test=(5,))),
+         "split references unknown item index 5"),
+        (lambda: replace(TWO_USERS, n=3),
+         "id counts 2, 1 disagree with n=3, m=1"),
+        (lambda: replace(TWO_USERS, item_ids=("i1", "i2")),
+         "id counts 2, 2 disagree with n=2, m=1"),
+        (lambda: replace(TWO_USERS, A=sp.csr_matrix((2, 2))),
+         "relation shapes (2, 2), (2, 1), (2, 2) disagree with n=2, m=1"),
+        (lambda: replace(TWO_USERS, S=sp.csr_matrix((1, 1))),
+         "relation shapes (1, 1), (2, 1), (2, 1) disagree with n=2, m=1"),
+        (lambda: from_matrices(sp.csr_matrix((2, 2)), sp.csr_matrix((2, 1)),
+                               sp.csr_matrix((1, 1)), ["u1", "u2"], ["i1"]),
+         "relation shapes (2, 2), (2, 1), (1, 1) disagree with n=2, m=1"),
+    ])
+    def test_construction_rejects_bad_sizes(self, make, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make()
 
 
 class TestEquality:

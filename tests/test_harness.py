@@ -139,6 +139,18 @@ class TestRmse:
         with pytest.raises(ValidationError, match=rf"^unknown item index {item} \(m=3\)$"):
             rmse(np.array([0.9]), GroundTruth.full([0.1, 0.2, 0.9]), [item])
 
+    @pytest.mark.parametrize("predictions, truth, message", [
+        (np.float64(0.5), GroundTruth.full([0.1, 0.2]),
+         "predictions of shape () do not match item ids of shape (1,)"),
+        (np.ones((1, 1)), GroundTruth.full([0.1, 0.2]),
+         "predictions of shape (1, 1) do not match item ids of shape (1,)"),
+        (np.array([0.5]), GroundTruth(np.array([np.nan, 0.2]), np.array([False, True])),
+         "rmse requires known ground truth for every id"),
+    ])
+    def test_bad_arguments_named(self, predictions, truth, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            rmse(predictions, truth, [0])
+
 
 class TestRunExperiment:
     def test_zero_noise_average_is_error_free(self):
@@ -233,6 +245,12 @@ class TestRunSweep:
                            TrainConfig(epochs=6, dim=4, seed=0))
         assert len(result.points) == 8
         assert all(pt.report is not None for pt in result.points)
+
+    def test_layer_sweep_without_train_config_fails_each_point(self):
+        spec = SweepSpec(param="layers", grid=(1, 2), base=default_scenario(seed=0, n=10, m=10))
+        result = run_sweep(spec, ["average"], SplitConfig(n_splits=1, seed=0), train_cfg=None)
+        assert [(pt.report, pt.error) for pt in result.points] == [
+            (None, "sweeping 'layers' requires a train config")] * 2
 
     def test_failed_point_recorded_and_sweep_continues(self):
         base = default_scenario(seed=0, n=10, m=10)

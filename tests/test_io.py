@@ -2,10 +2,12 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from peergrade import (
     Dataset,
@@ -212,6 +214,17 @@ class TestRoundTrip:
         save_dataset(bare, path)
         assert not (path / "ownership.csv").exists()
         assert datasets_equal(bare, load_dataset(path))
+
+    def test_social_file_holds_the_upper_triangle_only(self, tmp_path):
+        g = build_graph([("u1", "i1", 0.8), ("u2", "i1", 0.6)], social=[("u1", "u2", 0.5)])
+        save_dataset(Dataset(graph=g, truth=GroundTruth.full([0.5])), tmp_path)
+        assert (tmp_path / "social.csv").read_bytes() == b"user_a,user_b,weight\r\nu1,u2,0.5\r\n"
+        # An invalid S with no upper-triangle entry has no edge to write: no file,
+        # and the bundle loads with an empty social relation.
+        lower = replace(g, S=sp.tril(g.S, format="csr"))
+        save_dataset(Dataset(graph=lower, truth=GroundTruth.full([0.5])), tmp_path)
+        assert not (tmp_path / "social.csv").exists()
+        assert load_dataset(tmp_path).graph.S.nnz == 0
 
     def test_seventeen_digit_precision(self, tmp_path):
         value = 0.1 + 0.2  # 0.30000000000000004

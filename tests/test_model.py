@@ -1,6 +1,7 @@
 """Model forward/backward, optimizer, training loop, and checkpointing."""
 
 import hashlib
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -120,6 +121,35 @@ def random_instance(rng, max_nodes=6, max_dim=4, max_layers=3, features="ones"):
     size = int(rng.integers(1, graph.m + 1))
     train_ids = tuple(int(x) for x in rng.choice(graph.m, size=size, replace=False))
     return graph, prop, cfg, h0, params, truth, train_ids
+
+
+def _one_grade():
+    """The operator of one user grading one item, and its ones features."""
+    prop = propagation_matrix(build_graph([("u1", "i1", 0.8)]))
+    return prop, initial_features("ones", prop)
+
+
+def _backward_without_train_ids():
+    prop, h0 = _one_grade()
+    params = init_params(TrainConfig(layers=1, dim=2), 1, np.random.default_rng(0))
+    _, cache = forward(params, prop, h0)
+    backward(params, prop, cache, GroundTruth.full([0.5]), [])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TrainConfig(learning_rate=0), "learning_rate must be > 0"),
+    (lambda: initial_features("bogus", _one_grade()[0]), "unknown feature kind 'bogus'"),
+    (lambda: forward(init_params(TrainConfig(layers=1, dim=2), 1, np.random.default_rng(0)),
+                     _one_grade()[0], np.ones((3, 1))),
+     "feature matrix has shape (3, 1), expected (2, d0)"),
+    (lambda: mse_loss(np.array([0.5, 0.5]),
+                      GroundTruth(np.array([0.5, np.nan]), np.array([True, False])), [1]),
+     "every training item needs a known ground-truth value"),
+    (_backward_without_train_ids, "training set is empty"),
+])
+def test_bad_arguments_named(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestInitParams:

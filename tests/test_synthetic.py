@@ -1,6 +1,7 @@
 """Synthetic generators: distributions, structure, determinism."""
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,37 @@ def censored_normal_mean(mu, sigma):
     return (1.0 - norm.cdf(b)) + mu * (norm.cdf(b) - norm.cdf(a)) - sigma * (
         norm.pdf(b) - norm.pdf(a)
     )
+
+
+HALF_KNOWN = GroundTruth(np.array([0.5, np.nan]), np.array([True, False]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MixtureConfig(pi=(0.2, 0.3, 0.5), mu=(0.3, 0.5, 0.7), sigma=(0.1, 0.1, 0.1)),
+     "mixture config requires exactly two components"),
+    (lambda: ErConfig(p=1.5), "connection probability 1.5 must lie in [0, 1]"),
+    (lambda: HomophilyConfig(tau=-0.1), "tau -0.1 must lie in [0, 1]"),
+    (lambda: StrategicConfig(k=0), "grader count k must be >= 1"),
+    (lambda: StrategicConfig(sigma_h=-0.1), "sigma_h must be >= 0"),
+    (lambda: BiasReliabilityConfig(k=0), "grader count k must be >= 1"),
+    (lambda: BiasReliabilityConfig(sigma_max=-0.1), "sigma_max must be >= 0"),
+    (lambda: ScenarioConfig(n=0), "scenario requires n >= 1 and m >= 1"),
+    (lambda: gen_ground_truth(0, MixtureConfig(), np.random.default_rng(0)),
+     "item count must be >= 1"),
+    (lambda: gen_social_homophily(HALF_KNOWN, sp.identity(2, format="csr"), HomophilyConfig()),
+     "homophily generation requires known values for all owned items"),
+    (lambda: gen_assess_bias_reliability(HALF_KNOWN, sp.identity(2, format="csr"),
+                                         BiasReliabilityConfig(k=1), np.random.default_rng(0)),
+     "bias-reliability generation requires known values for all owned items"),
+    # ScenarioConfig does not check the types of its parts; build_scenario does
+    (lambda: build_scenario(ScenarioConfig(n=2, m=2, social=StrategicConfig())),
+     "unknown social config StrategicConfig"),
+    (lambda: build_scenario(ScenarioConfig(n=2, m=2, assessment=ErConfig())),
+     "unknown assessment config ErConfig"),
+])
+def test_bad_configs_and_inputs_named(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestGroundTruth:
