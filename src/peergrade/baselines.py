@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .graph import SoanGraph, _raise_first
+from .graph import SoanGraph, _item_ids, _raise_first
 
 
 def _graded(graph: SoanGraph, item_ids: Sequence[int]) -> tuple:
@@ -21,7 +21,7 @@ def _graded(graph: SoanGraph, item_ids: Sequence[int]) -> tuple:
     Raises for the first unknown or ungraded id in request order.
     """
     csc = graph.A.tocsc()
-    ids = np.asarray(item_ids, dtype=np.int64)
+    ids = np.atleast_1d(_item_ids(item_ids))  # a scalar id is answered as a list of one
     unknown = (ids < 0) | (ids >= graph.m)
     counts = np.zeros_like(csc.indptr, shape=ids.shape)
     counts[~unknown] = np.diff(csc.indptr)[ids[~unknown]]  # read at known ids only: m may be 0

@@ -111,9 +111,9 @@ class Split:
     test: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "train", tuple(sorted(int(i) for i in self.train)))
-        object.__setattr__(self, "test", tuple(sorted(int(i) for i in self.test)))
-        if set(self.train) & set(self.test):
+        object.__setattr__(self, "train", tuple(np.sort(_item_ids(self.train), axis=None).tolist()))
+        object.__setattr__(self, "test", tuple(np.sort(_item_ids(self.test), axis=None).tolist()))
+        if not set(self.train).isdisjoint(self.test):
             raise ValidationError("train and test splits overlap")
 
 
@@ -222,6 +222,19 @@ def _raise_first(*checks) -> None:
     if failed.any():
         k = int(np.argmax(failed))
         raise next(error(k) for mask, error in checks if mask[k])
+
+
+def _item_ids(ids, m: Optional[int] = None) -> np.ndarray:
+    """``ids`` as integers of at most one dimension; with ``m``, the first outside [0, m) is named."""
+    ids = np.asarray(ids)
+    if ids.ndim > 1 or ids.size and ids.dtype.kind not in "iu":  # no float, bool, text or object
+        raise ValidationError(f"item ids must be integers of at most one dimension, "
+                              f"got dtype {ids.dtype} and shape {ids.shape}")
+    if m is not None:
+        flat = ids.ravel()  # a scalar id too
+        _raise_first(((flat < 0) | (flat >= m),
+                      lambda k: ValidationError(f"unknown item index {flat[k]} (m={m})")))
+    return ids if ids.size else ids.astype(np.int64)  # numpy reads [] as float64
 
 
 def build_graph(
@@ -343,12 +356,6 @@ class ValidationReport:
         return not self.errors
 
 
-def _structural_pattern(mat: sp.csr_matrix) -> sp.csr_matrix:
-    pat = mat.copy()
-    pat.data = np.ones_like(pat.data)
-    return pat
-
-
 def validate(graph: SoanGraph) -> ValidationReport:
     """Check structural invariants; isolation is reported but not fatal."""
     errors: list[str] = []
@@ -360,21 +367,16 @@ def validate(graph: SoanGraph) -> ValidationReport:
 
     if np.count_nonzero(graph.S.diagonal()):
         errors.append("S has nonzero diagonal entries (self-friendship)")
-    spat = _structural_pattern(graph.S)
+    spat = graph.S.copy()
+    spat.data[:] = 1  # S's pattern: a 0.0 tie stored one way only is asymmetric too
     if (spat != spat.T).nnz or (graph.S != graph.S.T).nnz:
         errors.append("S is not symmetric")
 
-    if not errors:
-        opat = _structural_pattern(graph.O)
-        apat = _structural_pattern(graph.A)
-        item_links = np.asarray((opat.sum(axis=0) + apat.sum(axis=0))).ravel()
+    if not errors:  # links count stored entries, explicit zeros and duplicates included
+        item_links = graph.O.getnnz(axis=0) + graph.A.getnnz(axis=0)
         for j in np.nonzero(item_links == 0)[0]:
             warnings.append(f"item {graph.item_ids[j]!r} has no assessments and no owners")
-        user_links = (
-            np.asarray(spat.sum(axis=1)).ravel()
-            + np.asarray(opat.sum(axis=1)).ravel()
-            + np.asarray(apat.sum(axis=1)).ravel()
-        )
+        user_links = graph.S.getnnz(axis=1) + graph.O.getnnz(axis=1) + graph.A.getnnz(axis=1)
         for u in np.nonzero(user_links == 0)[0]:
             warnings.append(f"user {graph.user_ids[u]!r} has no edges")
 

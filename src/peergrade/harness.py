@@ -17,7 +17,7 @@ import numpy as np
 
 from . import baselines
 from .errors import PeergradeError, ValidationError
-from .graph import Dataset, GroundTruth, Split, _raise_first, propagation_matrix
+from .graph import Dataset, GroundTruth, Split, _item_ids, propagation_matrix
 from .model import TrainConfig, initial_features, predict, train
 from .schema import document_json, to_doc
 from .synthetic import (
@@ -81,15 +81,13 @@ def split_summary(scores: Sequence[float]) -> tuple[float, float]:
 
 def rmse(predictions: np.ndarray, truth: GroundTruth, ids: Sequence[int]) -> float:
     """Root mean square error; ``predictions[j]`` corresponds to ``ids[j]``."""
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = _item_ids(ids, len(truth))
     if ids.size == 0:
         raise ValidationError("rmse over an empty id set")
     predictions = np.asarray(predictions, dtype=np.float64)
     if predictions.shape != ids.shape:
         raise ValidationError(f"predictions of shape {predictions.shape} do not match "
                               f"item ids of shape {ids.shape}")
-    _raise_first(((ids < 0) | (ids >= len(truth)),
-                  lambda k: ValidationError(f"unknown item index {ids[k]} (m={len(truth)})")))
     if not np.all(truth.mask[ids]):
         raise ValidationError("rmse requires known ground truth for every id")
     err = truth.v[ids] - predictions

@@ -56,10 +56,10 @@ SOCIAL_HEADER = ["user_a", "user_b", "weight"]
 TRUTH_HEADER = ["item_id", "value"]
 
 
-def _encoded(ids: Sequence[str]) -> list[str]:
-    """Each id as ``csv.writer`` writes it inside a row, quoted where the dialect says."""
+def _encoded(ids: Sequence[str]) -> np.ndarray:
+    """Each id as ``csv.writer`` writes it inside a row, in an object array to pick columns from."""
     writer = csv.writer(SimpleNamespace(write=str))  # writerow returns the row's text
-    return [writer.writerow((s, ""))[:-3] for s in ids]  # minus the ",\r\n" after it
+    return np.array([writer.writerow((s, ""))[:-3] for s in ids], dtype=object)  # minus ",\r\n"
 
 
 def _numbers(values: np.ndarray) -> Iterable[str]:
@@ -71,11 +71,6 @@ def _numbers(values: np.ndarray) -> Iterable[str]:
                               return_inverse=True)
     texts = [f"{v:.17g}" for v in bits.view(np.float64).tolist()]
     return map(texts.__getitem__, inverse.tolist())
-
-
-def _picked(ids: list[str], index: np.ndarray) -> list[str]:
-    """``ids[k]`` for each ``k`` in ``index``, picked by numpy: no Python int per entry."""
-    return np.array(ids, dtype=object)[index].tolist()
 
 
 def _write_csv(path: Path, header: list[str], *columns: Iterable[str]) -> None:
@@ -109,11 +104,10 @@ def save_dataset(dataset: Dataset, path) -> None:
             (out / name).unlink(missing_ok=True)  # else an earlier save's file would be loaded
             continue
         rows, cols, vals = _triples(mat)
-        _write_csv(out / name, header, _picked(users, rows), _picked(col_ids, cols), _numbers(vals))
+        _write_csv(out / name, header, users[rows].tolist(), col_ids[cols].tolist(), _numbers(vals))
 
     known = np.flatnonzero(dataset.truth.mask)
-    _write_csv(out / "truth.csv", TRUTH_HEADER,
-               _picked(items, known), _numbers(dataset.truth.v[known]))
+    _write_csv(out / "truth.csv", TRUTH_HEADER, items[known].tolist(), _numbers(dataset.truth.v[known]))
 
     manifest = to_doc(_Manifest(graph.user_ids, graph.item_ids, graph.n, graph.m))
     (out / "manifest.json").write_text(document_json("dataset-bundle", manifest), encoding="utf-8")

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from scipy.special import expit as sigmoid
 
 from .errors import SchemaError, TrainingDivergedError, ValidationError
-from .graph import Dataset, GroundTruth, PropagationMatrix, _raise_first, propagation_matrix
+from .graph import Dataset, GroundTruth, PropagationMatrix, _item_ids, propagation_matrix
 from .schema import document_json, from_doc, read_document, to_doc
 
 FEATURE_KINDS = ("ones", "one-hot")
@@ -200,7 +200,7 @@ def mse_loss(predictions: np.ndarray, truth: GroundTruth, train_ids: Sequence[in
 
     ``predictions`` covers all items (output of :func:`forward`).
     """
-    ids = np.asarray(train_ids, dtype=np.int64)
+    ids = _item_ids(train_ids, len(truth))
     if ids.size == 0:
         raise ValidationError("training set is empty")
     if not np.all(truth.mask[ids]):
@@ -219,7 +219,7 @@ def backward(
     """Exact gradients of the training loss w.r.t. every parameter."""
     if cache.params is not params:
         raise ValidationError("forward cache does not match these parameters")
-    ids = np.asarray(train_ids, dtype=np.int64)
+    ids = _item_ids(train_ids, prop.m)
     if ids.size == 0:
         raise ValidationError("training set is empty")
 
@@ -291,7 +291,7 @@ def train(
     """
     if dataset.split is None or not dataset.split.train:
         raise ValidationError("dataset has no train split")
-    train_ids = dataset.split.train
+    train_ids = _item_ids(dataset.split.train, dataset.graph.m)  # once, not per epoch
     if prop is None:
         prop = propagation_matrix(dataset.graph)
     h0 = initial_features(cfg.features, prop)
@@ -321,9 +321,7 @@ def predict(
     item_ids: Sequence[int],
 ) -> np.ndarray:
     """Predicted valuations for the requested items, in request order."""
-    ids = np.asarray(item_ids, dtype=np.int64)
-    _raise_first(((ids < 0) | (ids >= prop.m),
-                  lambda k: ValidationError(f"unknown item index {ids[k]} (m={prop.m})")))
+    ids = _item_ids(item_ids, prop.m)
     preds, _ = forward(params, prop, h0)
     return preds[ids]
 

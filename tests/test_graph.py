@@ -14,6 +14,7 @@ from peergrade import (
     SoanGraph,
     Split,
     ValidationError,
+    ValidationReport,
     build_graph,
     datasets_equal,
     from_matrices,
@@ -21,6 +22,8 @@ from peergrade import (
     propagation_matrix,
     validate,
 )
+
+from peergrade.graph import _outside_unit
 
 from conftest import dense_propagation, random_graph
 
@@ -208,6 +211,110 @@ class TestValidate:
         broken = SoanGraph(n=2, m=1, S=bad_S, O=g.O, A=g.A,
                            user_ids=g.user_ids, item_ids=g.item_ids)
         assert not validate(broken).ok
+
+
+# The pattern-copy validate of an earlier version, verbatim: the reference
+# for the stored-entry counts of the current one.
+def _structural_pattern(mat: sp.csr_matrix) -> sp.csr_matrix:
+    pat = mat.copy()
+    pat.data = np.ones_like(pat.data)
+    return pat
+
+
+def reference_validate(graph: SoanGraph) -> ValidationReport:
+    """Check structural invariants; isolation is reported but not fatal."""
+    errors: list[str] = []
+    warnings: list[str] = []
+
+    for name, mat in (("S", graph.S), ("O", graph.O), ("A", graph.A)):
+        if _outside_unit(mat.data).any():
+            errors.append(f"{name} contains weights outside [0, 1]")
+
+    if np.count_nonzero(graph.S.diagonal()):
+        errors.append("S has nonzero diagonal entries (self-friendship)")
+    spat = _structural_pattern(graph.S)
+    if (spat != spat.T).nnz or (graph.S != graph.S.T).nnz:
+        errors.append("S is not symmetric")
+
+    if not errors:
+        opat = _structural_pattern(graph.O)
+        apat = _structural_pattern(graph.A)
+        item_links = np.asarray((opat.sum(axis=0) + apat.sum(axis=0))).ravel()
+        for j in np.nonzero(item_links == 0)[0]:
+            warnings.append(f"item {graph.item_ids[j]!r} has no assessments and no owners")
+        user_links = (
+            np.asarray(spat.sum(axis=1)).ravel()
+            + np.asarray(opat.sum(axis=1)).ravel()
+            + np.asarray(apat.sum(axis=1)).ravel()
+        )
+        for u in np.nonzero(user_links == 0)[0]:
+            warnings.append(f"user {graph.user_ids[u]!r} has no edges")
+
+    return ValidationReport(errors, warnings)
+
+
+def raw_csr(rng, entries, shape):
+    """CSR holding ``entries`` as given: rows in random order inside, duplicates kept."""
+    rows, cols, vals = (np.array(x) for x in zip(*entries)) if entries else ([], [], [])
+    order = np.argsort(np.asarray(rows, np.int64) + rng.random(len(rows)) * 0.5, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(np.asarray(rows, np.int64),
+                                                        minlength=shape[0]))])
+    return sp.csr_matrix((np.asarray(vals, np.float64)[order], np.asarray(cols, np.int32)[order],
+                          indptr.astype(np.int32)), shape=shape)
+
+
+def messy_graph(rng) -> SoanGraph:
+    """Unsorted rows, duplicates, +-0.0, NaN, out-of-range weights, diagonals, asymmetric S."""
+    n, m = (int(k) for k in rng.integers(1, 7, size=2))
+    pool = [0.0, -0.0, 0.25, 0.5, 1.0, 0.0, 0.7, np.nan, 1.5, -0.25]
+    weight = lambda: pool[rng.integers(7) if rng.random() < 0.97 else rng.integers(len(pool))]
+    ties = []
+    for _ in range(int(rng.integers(0, n + 2))):
+        a, b = (int(k) for k in rng.integers(n, size=2))
+        w = weight()
+        if a == b and rng.random() < 0.8:
+            continue
+        ties.append((a, b, w))
+        if rng.random() < 0.9:
+            ties.append((b, a, w if rng.random() < 0.95 else weight()))
+        if rng.random() < 0.1:
+            ties += ties[-2:]  # a duplicate, mirrored or not
+    bipartite = [[(int(rng.integers(n)), int(rng.integers(m)), weight())
+                  for _ in range(int(rng.integers(0, n + m)))] for _ in "OA"]
+    for rel in bipartite:
+        if rel and rng.random() < 0.2:
+            rel.append(rel[int(rng.integers(len(rel)))])
+    return SoanGraph(n=n, m=m, S=raw_csr(rng, ties, (n, n)),
+                     O=raw_csr(rng, bipartite[0], (n, m)), A=raw_csr(rng, bipartite[1], (n, m)),
+                     user_ids=tuple(f"u{i}" for i in range(n)),
+                     item_ids=tuple(f"i{j}" for j in range(m)))
+
+
+def stored(graph: SoanGraph) -> list[bytes]:
+    return [a.tobytes() for mat in (graph.S, graph.O, graph.A)
+            for a in (mat.data, mat.indices, mat.indptr)]
+
+
+class TestValidateCountsStoredEntries:
+    def test_equals_the_pattern_copy_reference_on_messy_graphs(self):
+        rng = np.random.default_rng(19)
+        errors = warnings = 0
+        for _ in range(1200):
+            g = messy_graph(rng)
+            before = stored(g)
+            expected = reference_validate(g)
+            assert stored(g) == before
+            assert validate(g) == expected
+            assert stored(g) == before
+            errors += bool(expected.errors)
+            warnings += bool(expected.warnings)
+        assert errors > 200 and warnings > 200  # both branches are exercised
+
+    def test_explicit_zero_links_count(self):
+        # i1's only link and u1's only edge are 0.0 grades; u2 and u3 share only a 0.0 tie.
+        g = build_graph([("u1", "i1", 0.0)], social=[("u2", "u3", 0.0)])
+        assert g.A.nnz == 1 and g.S.nnz == 2
+        assert validate(g) == ValidationReport([], [])
 
 
 TWO_USERS = build_graph([("u1", "i1", 0.8), ("u2", "i1", 0.6)])
