@@ -22,6 +22,7 @@ from .errors import PeergradeError, ValidationError
 from .graph import Split, propagation_matrix
 from .harness import (
     METHOD_AVERAGE,
+    METHOD_GCN,
     METHOD_MEDIAN,
     labelled_splits,
     rmse,
@@ -43,8 +44,11 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
+def _bundle_summary(dataset, out, **extra) -> str:
+    """The stdout of a command that writes a bundle: its sizes, where it went, and ``extra``."""
+    graph = dataset.graph
+    return pio.canonical_json({"n": graph.n, "m": graph.m, "assessments": int(graph.A.nnz),
+                               "out": str(out), **extra})
 
 
 def _parse_scale(text: str) -> float:
@@ -73,15 +77,9 @@ def _cmd_generate(args) -> int:
     dataset = build_scenario(cfg)
     pio.save_dataset(dataset, args.out)
     _log(f"generated bundle in {time.perf_counter() - started:.2f}s")
-    _emit(pio.canonical_json({
-        "n": dataset.graph.n,
-        "m": dataset.graph.m,
-        "seed": cfg.seed,
-        "assessments": int(dataset.graph.A.nnz),
-        "ownership": int(dataset.graph.O.nnz),
-        "social_edges": int(dataset.graph.S.nnz // 2),
-        "out": str(args.out),
-    }))
+    sys.stdout.write(_bundle_summary(dataset, args.out, seed=cfg.seed,
+                                     ownership=int(dataset.graph.O.nnz),
+                                     social_edges=int(dataset.graph.S.nnz // 2)))
     return EXIT_OK
 
 
@@ -90,15 +88,15 @@ def _cmd_train(args) -> int:
     cfg = pio.load_train_config(args.train_config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    labeled = tuple(int(i) for i in np.nonzero(dataset.truth.mask)[0])
-    if not labeled:
+    labeled = np.flatnonzero(dataset.truth.mask)
+    if not labeled.size:
         raise ValidationError("dataset has no ground-truth labels to train on")
     dataset = replace(dataset, split=Split(train=labeled, test=()))
     started = time.perf_counter()
     params, history = train(dataset, cfg)
     _log(f"trained {cfg.epochs} epochs in {time.perf_counter() - started:.2f}s")
     save_model(params, cfg, args.out)
-    _emit(pio.canonical_json({
+    sys.stdout.write(pio.canonical_json({
         "epochs": cfg.epochs,
         "seed": cfg.seed,
         "train_items": len(labeled),
@@ -119,8 +117,8 @@ def _cmd_eval(args) -> int:
         for split in labelled_splits(dataset.truth, split_cfg)
     ]
     mean, std = split_summary(scores)
-    _emit(pio.canonical_json({
-        "method": "gcn-soan",
+    sys.stdout.write(pio.canonical_json({
+        "method": METHOD_GCN,
         "model": str(args.model),
         "split": to_doc(split_cfg),
         "per_split": scores,
@@ -135,7 +133,7 @@ def _cmd_baseline(args) -> int:
     split_cfg = pio.load_split_config(args.split)
     report = run_experiment(dataset, [args.method], split_cfg, train_cfg=None)
     _log(f"scored {args.method} in {report.wall_clock_seconds:.2f}s")
-    _emit(report.canonical_json(include_timing=False))
+    sys.stdout.write(report.canonical_json(include_timing=False))
     return EXIT_OK
 
 
@@ -149,7 +147,7 @@ def _cmd_sweep(args) -> int:
             _log(f"point {point.value!r} failed: {point.error}")
     csv_text = result.to_csv()
     Path(args.out).write_text(csv_text, encoding="utf-8")
-    _emit(csv_text)
+    sys.stdout.write(csv_text)
     return EXIT_OK
 
 
@@ -157,13 +155,7 @@ def _cmd_import(args) -> int:
     scale = _parse_scale(args.scale) if args.scale is not None else None
     dataset = pio.load_dataset(getattr(args, "from"), scale_max=scale)
     pio.save_dataset(dataset, args.out)
-    _emit(pio.canonical_json({
-        "n": dataset.graph.n,
-        "m": dataset.graph.m,
-        "assessments": int(dataset.graph.A.nnz),
-        "truth_items": int(dataset.truth.mask.sum()),
-        "out": str(args.out),
-    }))
+    sys.stdout.write(_bundle_summary(dataset, args.out, truth_items=int(dataset.truth.mask.sum())))
     return EXIT_OK
 
 

@@ -300,7 +300,13 @@ def from_matrices(
     user_ids: Sequence[str],
     item_ids: Sequence[str],
 ) -> SoanGraph:
-    """Wrap already-built sparse relations, enforcing the graph invariants."""
+    """Wrap already-built sparse relations, enforcing the graph invariants.
+
+    No two user ids, and no two item ids, may share a ``str()``: their bundle would not load."""
+    for name, ids in (("user_ids", user_ids), ("item_ids", item_ids)):
+        keys = list(map(str, ids))
+        _raise_first((_repeated(np.array(keys, dtype=object)), lambda k: ValidationError(
+            f"{name}[{k}] {ids[k]!r} repeats {name}[{keys.index(keys[k])}]")))
     S = sp.csr_matrix(S, copy=True)
     O = sp.csr_matrix(O, copy=True)
     A = sp.csr_matrix(A, copy=True)

@@ -37,7 +37,7 @@ from .graph import (
     _triples,
     build_graph,
 )
-from .harness import ExperimentReport, SplitConfig, SweepSpec
+from .harness import METHOD_AVERAGE, METHOD_GCN, ExperimentReport, SplitConfig, SweepSpec
 from .model import TrainConfig
 from .schema import (
     canonical_json,  # re-exported: the CLI writes its stdout with it
@@ -90,7 +90,9 @@ class _Manifest:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write a bundle such that :func:`load_dataset` restores it exactly."""
+    """Write a bundle that :func:`load_dataset` restores exactly if the ids are sorted text.
+
+    A loaded bundle lists its ids as text in sorted order, as :func:`build_graph` makes them."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     graph = dataset.graph
@@ -340,7 +342,7 @@ def parse_scenario_config(obj: dict, where: str = "") -> ScenarioConfig:
     body = document_body(obj, where)
     preset = expect(body.pop("preset", "default"), str, f"{where}/preset")
     if preset not in PRESETS:
-        raise SchemaError(f"{where}/preset: expected 'default' or 'strategic', got {preset!r}")
+        raise SchemaError(f"{where}/preset: expected {' or '.join(map(repr, PRESETS))}, got {preset!r}")
     return from_doc(ScenarioConfig, body, where, PRESETS[preset]())
 
 
@@ -361,7 +363,7 @@ class _SweepDocument:
     param: str
     grid: list[Union[int, float]]  # each value kept as written: the CSV echoes it
     base: dict = field(default_factory=dict)  # base, split, train: each read as its own document
-    methods: list[str] = field(default_factory=lambda: ["gcn-soan", "average"])
+    methods: list[str] = field(default_factory=lambda: [METHOD_GCN, METHOD_AVERAGE])
     split: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
 

@@ -1,7 +1,9 @@
 """Command-line behavior: subcommands, exit codes, stdout determinism."""
 
 import csv
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +117,57 @@ class TestBaselineCommand:
         assert dispatch(args) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestByteContract:
+    """sha256 of each stdout and bundle file of a fixed campaign: a refactor that changes
+    one byte fails here.  ``train`` and ``eval`` are left out, as their bits depend on the
+    BLAS thread count and kernel; these steps give the same bytes at 1 and 2 threads."""
+
+    EXPECTED = {
+        "generate": "5553fa908101def8b9cd66d09964004211f5f609c1b63721c7aa9862656f81c0",
+        "import": "46d7ceddda840268ac5aa74288211aa272c7b53e81071d0eabc576fcf34fe6bb",
+        "average": "805f21ac9667d50157e5e76dec53892cff5a6526914a63b62e579d62ff3bae75",
+        "median": "4569dd01df4d52601fe7cbc8c38039197f5a426473e84bd3e934cabfbf026be0",
+        "generated/assessments.csv":
+            "924ca504940b1b0e069bd00f9b8fd46d30dea218ecad71239dfb2498967bacb4",
+        "generated/manifest.json":
+            "db6a46b6232e396eaea02d9688afc378699ed26d57e3a91d2d9a6b91e29fd27b",
+        "generated/ownership.csv":
+            "ca37d0b3c8e1c636a4e6b58060501419ac172f988e592a648fc2c2c79a53c8bb",
+        "generated/social.csv": "b13c762d79dd6d72bfe75da38e7274e44365ed15f6f6e2fc468efd702fb9b609",
+        "generated/truth.csv": "e1b0bb28338b64f76b30307650954aad31c85a483e6454a5276ea2e676e5508d",
+        "imported/assessments.csv":
+            "698f9f5dbab02cff8d6c732ad2253ae1bfaf4f452a15fde4469731a2dd88014a",
+        "imported/manifest.json":
+            "db6a46b6232e396eaea02d9688afc378699ed26d57e3a91d2d9a6b91e29fd27b",
+        "imported/ownership.csv":
+            "ca37d0b3c8e1c636a4e6b58060501419ac172f988e592a648fc2c2c79a53c8bb",
+        "imported/social.csv": "b13c762d79dd6d72bfe75da38e7274e44365ed15f6f6e2fc468efd702fb9b609",
+        "imported/truth.csv": "1998cc38ff196996a4beed91f2d756bb25d256df882dbc7811ef7d326e18702a",
+    }
+
+    def test_stdout_and_bundle_bytes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # relative paths: the stdout names them
+        Path("scenario.json").write_text(json.dumps({
+            "schema_version": 1, "preset": "strategic", "n": 120, "m": 120, "seed": 5}))
+        Path("split.json").write_text(json.dumps({
+            "schema_version": 1, "train_fraction": 0.3, "n_splits": 3, "seed": 2}))
+        runs = {
+            "generate": ["generate", "--config", "scenario.json", "--out", "generated"],
+            "import": ["import", "--from", "generated", "--scale", "max=2", "--out", "imported"],
+            "average": ["baseline", "--method", "average", "--data", "generated",
+                        "--split", "split.json"],
+            "median": ["baseline", "--method", "median", "--data", "imported",
+                       "--split", "split.json"],
+        }
+        digests = {}
+        for name, argv in runs.items():
+            assert dispatch(argv) == 0
+            digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        for path in sorted(Path().glob("*/*")):
+            digests[path.as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == self.EXPECTED
 
 
 class TestTrainEval:

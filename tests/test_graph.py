@@ -383,6 +383,16 @@ class TestDomainTypes:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             make()
 
+    @pytest.mark.parametrize("users, items, message", [
+        (("a", "a"), ("i", "j"), "user_ids[1] 'a' repeats user_ids[0]"),
+        (("a", "b"), ("i", "j", "j"), "item_ids[2] 'j' repeats item_ids[1]"),
+        ((1, "1"), ("i", "j"), "user_ids[1] '1' repeats user_ids[0]"),  # one text in a bundle
+    ])
+    def test_from_matrices_rejects_repeated_ids(self, users, items, message):
+        empty = sp.csr_matrix((2, len(items)))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            from_matrices(sp.csr_matrix((2, 2)), empty, empty, users, items)
+
 
 class TestEquality:
     BASE = [("u1", "i1", 0.8), ("u2", "i1", 0.0)]
@@ -412,5 +422,12 @@ class TestEquality:
         ds = Dataset(graph=g, truth=truth)
         other = Dataset(graph=g, truth=GroundTruth(np.array(v), np.array(mask)), split=split)
         assert datasets_equal(ds, Dataset(graph=g, truth=truth))
+        assert not datasets_equal(ds, other)
+        assert not datasets_equal(other, ds)
+
+    def test_datasets_equal_says_no_when_one_weight_differs(self):
+        truth = GroundTruth.full([0.5])
+        ds = Dataset(graph=build_graph(self.BASE), truth=truth, split=Split(train=(0,), test=()))
+        other = replace(ds, graph=build_graph(self.BASE[:1] + [("u2", "i1", 0.5)]))
         assert not datasets_equal(ds, other)
         assert not datasets_equal(other, ds)

@@ -21,6 +21,7 @@ from peergrade import (
     canonical_json,
     datasets_equal,
     default_scenario,
+    from_matrices,
     load_dataset,
     load_scenario_config,
     load_split_config,
@@ -182,6 +183,17 @@ class TestRoundTrip:
             path = tmp_path / f"case{case}"
             save_dataset(ds, path)
             assert datasets_equal(ds, load_dataset(path))
+
+    def test_ids_come_back_as_sorted_text(self, tmp_path):
+        A = sp.csr_matrix(np.array([[0.5, 0.0], [0.0, 0.25]]))
+        g = from_matrices(sp.csr_matrix((2, 2)), sp.identity(2, format="csr"), A, (1, 2), ("j", "i"))
+        ds = Dataset(graph=g, truth=GroundTruth(np.array([0.1, np.nan]), np.array([True, False])))
+        save_dataset(ds, tmp_path / "b")
+        loaded = load_dataset(tmp_path / "b")
+        assert (loaded.graph.user_ids, loaded.graph.item_ids) == (("1", "2"), ("i", "j"))
+        assert loaded.graph.A.toarray().tolist() == [[0.0, 0.5], [0.25, 0.0]]
+        assert loaded.truth.mask.tolist() == [False, True]
+        assert not datasets_equal(ds, loaded)
 
     def test_explicit_zero_grade_round_trips(self, tmp_path):
         g = build_graph([("u1", "i1", 0.0), ("u2", "i1", 0.6)])
