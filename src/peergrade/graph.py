@@ -131,12 +131,12 @@ class Dataset:
                 f"truth length {len(self.truth)} does not match item count {self.graph.m}"
             )
         if self.split is not None:
-            for ids in (self.split.train, self.split.test):
-                for i in ids:
-                    if not (0 <= i < self.graph.m):
-                        raise ValidationError(f"split references unknown item index {i}")
-                    if not self.truth.mask[i]:
-                        raise ValidationError(f"split item {i} has no known ground-truth value")
+            labelled = np.append(self.truth.mask, True)  # unknown ids read the extra entry m
+            for ids in map(_item_ids, (self.split.train, self.split.test)):
+                unknown = (ids < 0) | (ids >= self.graph.m)
+                _raise_first((unknown, lambda k: ValidationError(f"split references unknown item index {ids[k]}")),
+                             (~labelled[np.where(unknown, self.graph.m, ids)], lambda k: ValidationError(
+                                 f"split item {ids[k]} has no known ground-truth value")))
 
 
 def _index_map(ids: set[str]) -> tuple[dict[str, int], tuple[str, ...]]:

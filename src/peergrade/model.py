@@ -26,7 +26,7 @@ from .errors import SchemaError, TrainingDivergedError, ValidationError
 from .graph import Dataset, GroundTruth, PropagationMatrix, _item_ids, propagation_matrix
 from .schema import document_json, from_doc, read_document, to_doc
 
-FEATURE_KINDS = ("ones", "one-hot")
+FEATURE_KINDS = ("ones",)
 
 
 @dataclass(frozen=True)
@@ -95,23 +95,20 @@ class ForwardCache:
     overwritten in place.
     """
 
-    h: list                    # H[0] .. H[K]; H[0] may be sparse
-    z: list[np.ndarray]        # pre-activations Z[1] .. Z[K]
-    d_z: list[np.ndarray]      # backward's buffers, shaped as z
-    propagated: list           # N @ H[l] for l = 0 .. K-1; sparse when H[0] is
-    item_N: sp.csr_matrix      # N[n:], the rows the last layer computes
+    h: list[np.ndarray]           # H[0] .. H[K]
+    z: list[np.ndarray]           # pre-activations Z[1] .. Z[K]
+    d_z: list[np.ndarray]         # backward's buffers, shaped as z
+    propagated: list[np.ndarray]  # N @ H[l] for l = 0 .. K-1
+    item_N: sp.csr_matrix         # N[n:], the rows the last layer computes
     predictions: np.ndarray
     params: ModelParams  # the parameters this pass ran with
     prop: PropagationMatrix
 
 
-def initial_features(kind: str, prop: PropagationMatrix):
-    """Default node features: one all-ones column, or one-hot rows as an O(n+m) sparse identity."""
-    size = prop.size
+def initial_features(kind: str, prop: PropagationMatrix) -> np.ndarray:
+    """Default node features: one all-ones column, the only kind in ``FEATURE_KINDS``."""
     if kind == "ones":
-        return np.ones((size, 1))
-    if kind == "one-hot":
-        return sp.identity(size, format="csr")
+        return np.ones((prop.size, 1))
     raise ValidationError(f"unknown feature kind {kind!r}")
 
 
@@ -144,14 +141,13 @@ def _elu_grad(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 def forward(
     params: ModelParams, prop: PropagationMatrix, h0, cache: Optional[ForwardCache] = None
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on dense or sparse ``h0``; returns item predictions plus the cache.
+    """Run the network on dense ``h0``; returns item predictions plus the cache.
 
     Given the cache of an earlier pass with the same ``prop`` and ``h0`` objects
     and layer widths, writes into its arrays (``N @ h0`` is reused, so ``h0``
     must not change in place) and returns it; any other cache is a ValidationError.
     """
-    if not sp.issparse(h0):
-        h0 = np.asarray(h0, dtype=np.float64)
+    h0 = np.asarray(h0, dtype=np.float64)
     if h0.ndim != 2 or h0.shape[0] != prop.size:
         raise ValidationError(
             f"feature matrix has shape {h0.shape}, expected ({prop.size}, d0)"
@@ -181,13 +177,9 @@ def forward(
             cache.propagated[layer][rows] = cache.item_N @ cache.h[layer]
         elif layer:
             cache.propagated[layer] = prop.N @ cache.h[layer]
-        nh, z = cache.propagated[layer], cache.z[layer]
-        if sp.issparse(nh):  # one-hot input at layer 0; a sparse product goes row by row
-            z[rows] = (nh[rows] if layer == top else nh) @ W
-        else:
-            # Full-size even on the last layer: OpenBLAS picks its kernels by
-            # shape, so a GEMM on item rows alone can round differently.
-            np.matmul(nh, W, out=z)
+        # Full-size even on the last layer: OpenBLAS picks its kernels by
+        # shape, so a GEMM on item rows alone can round differently.
+        z = np.matmul(cache.propagated[layer], W, out=cache.z[layer])
         _elu(z[rows], out=cache.h[layer + 1][rows])
 
     cache.predictions = sigmoid(cache.h[-1][prop.n:] @ params.w_out + params.b_out)

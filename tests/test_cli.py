@@ -440,6 +440,30 @@ class TestMalformedDocuments:
         assert code == 3
         assert f"{pointer}: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_one_hot_features_are_a_validation_error(self, tmp_path, bundle_dir, split_file,
+                                                     train_file, model_file, capsys, command):
+        # "ones" is the only feature kind, in a train config and in a checkpoint's echo of one
+        def with_one_hot(path, key=None):
+            doc = json.loads(path.read_text())
+            (doc[key] if key else doc)["features"] = "one-hot"
+            path.write_text(json.dumps(doc))
+            return str(path)
+
+        out = tmp_path / "one_hot.json"
+        argv = {
+            "train": lambda: ["train", "--data", str(bundle_dir),
+                              "--train-config", with_one_hot(train_file), "--out", str(out)],
+            "eval": lambda: ["eval", "--data", str(bundle_dir), "--split", str(split_file),
+                             "--model", with_one_hot(model_file, "train_config")],
+        }[command]()
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "features must be one of ('ones',)" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("entry", ["x", True, None, [1]])
     def test_non_numeric_sweep_grid_entry_is_validation_error(self, tmp_path, capsys, entry):
         spec = tmp_path / "spec.json"

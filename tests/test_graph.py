@@ -320,6 +320,16 @@ class TestValidateCountsStoredEntries:
 TWO_USERS = build_graph([("u1", "i1", 0.8), ("u2", "i1", 0.6)])
 
 
+def split_check_loop(graph, truth, split):
+    """Dataset's split check as first written, one id at a time: the reference."""
+    for ids in (split.train, split.test):
+        for i in ids:
+            if not (0 <= i < graph.m):
+                raise ValidationError(f"split references unknown item index {i}")
+            if not truth.mask[i]:
+                raise ValidationError(f"split item {i} has no known ground-truth value")
+
+
 class TestDomainTypes:
     def test_ground_truth_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -347,6 +357,35 @@ class TestDomainTypes:
         gt = GroundTruth(np.array([0.7, np.nan]), np.array([True, False]))
         with pytest.raises(ValidationError):
             Dataset(graph=g, truth=gt, split=Split(train=(1,), test=()))
+
+    def test_split_check_equals_loop_reference(self):
+        rng = np.random.default_rng(22)
+        seen = set()
+        for _ in range(400):
+            m = int(rng.integers(0, 6))
+            graph = build_graph([], users=["u1"], items=[f"i{j}" for j in range(m)])
+            mask = rng.random(m) < 0.6
+            truth = GroundTruth(np.where(mask, 0.5, np.nan), mask)
+            small = [int(k) - 3 for k in rng.permutation(m + 6)]  # -3 .. m + 2, none repeated
+            a, b = rng.integers(0, 4, size=2)
+            train, test = small[:a], small[a:a + b]
+            # numpy reads ids as uint64 only when all are >= 2**63, so they fill a tuple alone
+            if rng.random() < 0.25:
+                train = [2**63, 2**64 - 1][:int(rng.integers(1, 3))]
+            if rng.random() < 0.25:
+                test = [2**63 + 7]
+            split = Split(train=tuple(train), test=tuple(test))
+            outcomes = []
+            for check in (lambda: split_check_loop(graph, truth, split),
+                          lambda: Dataset(graph=graph, truth=truth, split=split)):
+                try:
+                    check()
+                    outcomes.append(None)
+                except ValidationError as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], (m, mask, split)
+            seen.add(outcomes[0] and outcomes[0][1].split(" ")[1])
+        assert seen == {None, "references", "item"}  # passes, unknown ids, unlabelled ids
 
     def test_dataset_rejects_truth_length_mismatch(self):
         g = build_graph([("u1", "i1", 0.8)])

@@ -7,7 +7,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.special import expit
 
 from peergrade import (
@@ -54,7 +53,7 @@ def dense_forward(params, graph, h0):
     from conftest import dense_propagation
 
     N, _ = dense_propagation(graph)
-    H = h0.toarray() if sp.issparse(h0) else np.asarray(h0, dtype=np.float64)
+    H = np.asarray(h0, dtype=np.float64)
     for W in params.W:
         H = elu(N @ H @ W)
     logits = H[graph.n:] @ params.w_out + params.b_out
@@ -109,13 +108,13 @@ def max_relative_error(analytic, numeric):
     return worst
 
 
-def random_instance(rng, max_nodes=6, max_dim=4, max_layers=3, features="ones"):
+def random_instance(rng, max_nodes=6, max_dim=4, max_layers=3):
     graph = random_graph(rng, max_nodes=max_nodes, assess_density=0.7)
     prop = propagation_matrix(graph)
     cfg = TrainConfig(layers=int(rng.integers(1, max_layers + 1)),
                       dim=int(rng.integers(1, max_dim + 1)),
                       epochs=1, seed=int(rng.integers(0, 2**31)))
-    h0 = initial_features(features, prop)
+    h0 = initial_features("ones", prop)
     params = init_params(cfg, h0.shape[1], np.random.default_rng(cfg.seed))
     truth = GroundTruth.full(rng.uniform(0.0, 1.0, graph.m))
     size = int(rng.integers(1, graph.m + 1))
@@ -139,6 +138,9 @@ def _backward_without_train_ids():
 @pytest.mark.parametrize("call, message", [
     (lambda: TrainConfig(learning_rate=0), "learning_rate must be > 0"),
     (lambda: initial_features("bogus", _one_grade()[0]), "unknown feature kind 'bogus'"),
+    # "ones" is the only input column: the one-hot input is refused in a config and here
+    (lambda: TrainConfig(features="one-hot"), "features must be one of ('ones',)"),
+    (lambda: initial_features("one-hot", _one_grade()[0]), "unknown feature kind 'one-hot'"),
     (lambda: forward(init_params(TrainConfig(layers=1, dim=2), 1, np.random.default_rng(0)),
                      _one_grade()[0], np.ones((3, 1))),
      "feature matrix has shape (3, 1), expected (2, d0)"),
@@ -225,25 +227,19 @@ class TestForward:
         with pytest.raises(ValidationError):
             forward(params, prop, initial_features("ones", prop))
 
-    @staticmethod
-    def check_against_dense_reference(rng, features):
+    def test_sparse_equals_dense_reference(self):
+        rng = np.random.default_rng(3)
         for _ in range(100):
             n = int(rng.integers(1, 9))
             m = int(rng.integers(1, min(9, 17 - n)))
             graph = random_graph(rng, n=n, m=m)
             prop = propagation_matrix(graph)
             cfg = TrainConfig(layers=int(rng.integers(1, 4)), dim=int(rng.integers(1, 5)))
-            h0 = initial_features(features, prop)
+            h0 = initial_features("ones", prop)
             params = init_params(cfg, h0.shape[1], rng)
             preds, _ = forward(params, prop, h0)
             ref = dense_forward(params, graph, h0)
             np.testing.assert_allclose(preds, ref, atol=1e-10)
-
-    def test_sparse_equals_dense_reference(self):
-        self.check_against_dense_reference(np.random.default_rng(3), "ones")
-
-    def test_one_hot_sparse_equals_dense_reference(self):
-        self.check_against_dense_reference(np.random.default_rng(13), "one-hot")
 
     def test_predictions_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(4)
@@ -252,29 +248,6 @@ class TestForward:
         params = init_params(TrainConfig(), 1, rng)
         preds, _ = forward(params, prop, initial_features("ones", prop))
         assert np.all(preds > 0.0) and np.all(preds < 1.0)
-
-    def test_one_hot_features(self):
-        graph = build_graph([("u1", "i1", 0.8), ("u2", "i1", 0.4)])
-        prop = propagation_matrix(graph)
-        h0 = initial_features("one-hot", prop)
-        assert h0.shape == (3, 3)
-        cfg = TrainConfig(dim=4)
-        params = init_params(cfg, 3, np.random.default_rng(5))
-        preds, _ = forward(params, prop, h0)
-        assert preds.shape == (1,)
-
-    def test_one_hot_features_are_the_sparse_identity(self):
-        rng = np.random.default_rng(6)
-        graph = random_graph(rng, n=5, m=4)
-        prop = propagation_matrix(graph)
-        h0 = initial_features("one-hot", prop)
-        assert sp.issparse(h0) and h0.nnz == prop.size
-        np.testing.assert_array_equal(h0.toarray(), np.identity(prop.size))
-        params = init_params(TrainConfig(dim=3), prop.size, rng)
-        preds, _ = forward(params, prop, h0)
-        dense, _ = forward(params, prop, h0.toarray())
-        np.testing.assert_allclose(preds, dense, atol=1e-12)
-
 
     def test_second_pass_writes_into_the_cache(self):
         rng = np.random.default_rng(15)
@@ -301,8 +274,8 @@ class TestForward:
         graph = random_graph(rng, n=9, m=4, social_density=0.9)
         prop = propagation_matrix(graph)
         truth = GroundTruth.full(rng.uniform(0, 1, graph.m))
-        for layers, features in ((1, "ones"), (1, "one-hot"), (2, "ones"), (3, "one-hot")):
-            h0 = initial_features(features, prop)
+        h0 = initial_features("ones", prop)
+        for layers in (1, 1, 2, 3):
             cfg = TrainConfig(layers=layers, dim=3)
             cache = None
             for _ in range(2):  # a fresh pass, then one into its cache
@@ -363,20 +336,14 @@ class TestBackward:
         assert grads.b_out == 0.0
         np.testing.assert_array_equal(grads.w_out, 0.0)
 
-    @staticmethod
-    def check_finite_differences(rng, features):
+    def test_matches_finite_differences_on_random_instances(self):
+        rng = np.random.default_rng(1234)
         for _ in range(20):
-            _, prop, _, h0, params, truth, train_ids = random_instance(rng, features=features)
+            _, prop, _, h0, params, truth, train_ids = random_instance(rng)
             preds, cache = forward(params, prop, h0)
             analytic = backward(params, prop, cache, truth, train_ids)
             numeric = numerical_gradients(params, prop, h0, truth, train_ids)
             assert max_relative_error(analytic, numeric) < 1e-4
-
-    def test_matches_finite_differences_on_random_instances(self):
-        self.check_finite_differences(np.random.default_rng(1234), "ones")
-
-    def test_one_hot_matches_finite_differences_on_random_instances(self):
-        self.check_finite_differences(np.random.default_rng(4321), "one-hot")
 
     def test_zero_feature_column_gives_zero_gradient_row(self):
         rng = np.random.default_rng(8)
@@ -620,16 +587,15 @@ class TestTrain:
             dataset = Dataset(graph=graph, truth=GroundTruth.full(rng.uniform(0, 1, graph.m)),
                               split=Split(train=ids[:size], test=ids[size:]))
             cfg = TrainConfig(layers=int(rng.integers(1, 4)), dim=int(rng.integers(1, 9)),
-                              epochs=int(rng.integers(1, 31)), seed=trial,
-                              features=("ones", "one-hot")[trial % 2])
+                              epochs=int(rng.integers(1, 31)), seed=trial)
             assert_trains_as_reference(dataset, cfg, prop)
 
     def test_social_heavy_graphs_equal_fresh_array_reference_bitwise(self):
         # User-user ties hold most of N's entries, as on the strategic
         # campaign, so the user rows the last layer skips carry most of N;
-        # one-layer models and one-hot features included.  The small item
-        # counts matter: on such shapes a GEMM over item rows alone rounds
-        # differently from the full-size one.
+        # one-layer models included.  The small item counts matter: on such
+        # shapes a GEMM over item rows alone rounds differently from the
+        # full-size one.
         rng = np.random.default_rng(18)
         graphs = [build_scenario(strategic_scenario(seed=4, n=40, m=40, p=0.5)).graph]
         for _ in range(23):
@@ -643,8 +609,7 @@ class TestTrain:
             dataset = Dataset(graph=graph, truth=GroundTruth.full(rng.uniform(0, 1, graph.m)),
                               split=Split(train=ids[:size], test=ids[size:]))
             cfg = TrainConfig(layers=(1, 2, 3)[trial % 3], dim=int(rng.integers(1, 9)),
-                              epochs=int(rng.integers(1, 31)), seed=trial,
-                              features=("ones", "one-hot")[trial // 3 % 2])
+                              epochs=int(rng.integers(1, 31)), seed=trial)
             assert_trains_as_reference(dataset, cfg, prop)
 
     def test_divergence_aborts_with_epoch(self, small_dataset):
@@ -719,13 +684,13 @@ class TestPredict:
 class TestMemory:
     LIMIT_MB = 40
 
-    def test_one_hot_forward_peak(self):
-        # A dense (n+m)^2 identity alone would take 275 MB here.
+    def test_forward_peak(self):
+        # A dense (n+m)^2 operator alone would take 275 MB here.
         prop = propagation_matrix(build_scenario(default_scenario(seed=0, n=3000, m=3000)).graph)
-        params = init_params(TrainConfig(), prop.size, np.random.default_rng(0))
+        params = init_params(TrainConfig(), 1, np.random.default_rng(0))
         tracemalloc.start()
         try:
-            forward(params, prop, initial_features("one-hot", prop))
+            forward(params, prop, initial_features("ones", prop))
             peak = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
