@@ -353,6 +353,8 @@ def load_model(path) -> tuple[ModelParams, TrainConfig]:
             raise SchemaError(f"{where}: {arr.size} weights do not fit shape {shape}")
         return arr.reshape(shape)
 
+    if doc.d0 != 1:
+        raise SchemaError(f"/d0: {doc.d0} input features, the 'ones' input has 1")
     if len(weights.W) != cfg.layers:
         raise SchemaError(f"/weights/W: {len(weights.W)} weight matrices, config expects {cfg.layers}")
     params = ModelParams(

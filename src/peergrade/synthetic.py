@@ -6,10 +6,12 @@ seed, in a fixed order (truth, ownership, social, assessments), so the same
 seed always yields the same dataset and changing e.g. the social model does
 not perturb the assessment draws.
 
-Homophily and both assessment generators work in O(n + m + edges) memory:
-no (n, n) or (n, m) array is built.  ``gen_social_er`` still enumerates all
-n(n-1)/2 user pairs, and the grader draw still makes one ``rng.choice`` call
-per item; replacing either would change the random stream.
+Every generator works in O(n + m + edges) memory: no (n, n) or (n, m)
+array is built.  ``gen_social_er`` draws the gaps between kept user pairs
+(Batagelj & Brandes, Phys. Rev. E 2005), so its time too grows with the
+edges, not with the n(n-1)/2 pairs, and the grader draw runs Floyd's
+sampling (Bentley & Floyd, CACM 1987) one column at a time for all items:
+k draw calls in all, whatever m is.
 """
 
 from __future__ import annotations
@@ -161,11 +163,27 @@ def gen_ownership_one_to_one(n: int, m: int, rng: np.random.Generator) -> sp.csr
 
 
 def gen_social_er(n: int, cfg: ErConfig, rng: np.random.Generator) -> sp.csr_matrix:
-    """Symmetric 0/1 adjacency over n users, zero diagonal; pairs drawn independently."""
-    # Pair (i, j), i < j, is draw starts[i] + j - i - 1, the order of np.triu_indices(n, 1).
+    """Symmetric 0/1 adjacency over n users, zero diagonal: Batagelj-Brandes geometric skips."""
+    # Pair (i, j), i < j, has index starts[i] + j - i - 1, the order of np.triu_indices(n, 1).
+    # The gaps between kept indices are Geometric(p), so each pair is kept independently
+    # with probability p.  They are drawn in batches expected to pass the last pair.
+    pairs = n * (n - 1) // 2
+    batches, last = [np.empty(0, dtype=np.int64)], -1
+    while cfg.p > 0 and pairs > 0:
+        mean = (pairs - 1 - last) * cfg.p
+        gaps = rng.geometric(cfg.p, size=int(mean + 5 * np.sqrt(mean)) + 1)
+        # Clipped to pairs + 1, a gap still passes the last pair, and the sums up to the
+        # first one past it cannot overflow (later ones may, and are dropped).
+        batch = last + np.cumsum(np.minimum(gaps, pairs + 1))
+        past = np.flatnonzero(batch >= pairs)
+        if past.size:
+            batches.append(batch[:past[0]])
+            break
+        batches.append(batch)
+        last = int(batch[-1])
+    keep = np.concatenate(batches)
     i = np.arange(n)
     starts = i * (2 * n - i - 1) // 2
-    keep = np.flatnonzero(rng.random(n * (n - 1) // 2) < cfg.p)
     iu = np.searchsorted(starts, keep, side="right") - 1
     return _undirected(iu, keep - starts[iu] + iu + 1, n)
 
@@ -207,10 +225,14 @@ def gen_social_homophily(truth: GroundTruth, O: sp.spmatrix, cfg: HomophilyConfi
 
 
 def _grader_sets(m: int, n: int, k: int, owner_of: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """(m, k) users: per item, a uniform random set of k distinct users excluding the owner."""
+    """(m, k) users: per item, k distinct non-owners by Floyd's sampling, one column per draw."""
     if k > n - 1:
         raise ValidationError(f"k={k} graders requested but only {n - 1} non-owners exist")
-    picks = np.array([rng.choice(n - 1, size=k, replace=False) for _ in range(m)])
+    picks = np.empty((m, k), dtype=np.int64)
+    for col, top in enumerate(range(n - 1 - k, n - 1)):
+        draw = rng.integers(0, top + 1, size=m)
+        taken = (picks[:, :col] == draw[:, None]).any(axis=1)
+        picks[:, col] = np.where(taken, top, draw)
     return picks + (picks >= owner_of[:, None])  # skip over the owner index
 
 

@@ -125,25 +125,25 @@ class TestByteContract:
     BLAS thread count and kernel; these steps give the same bytes at 1 and 2 threads."""
 
     EXPECTED = {
-        "generate": "5553fa908101def8b9cd66d09964004211f5f609c1b63721c7aa9862656f81c0",
+        "generate": "11392d4c07c0c5c8d95a2b8f0ce777339aae5595fb7e2d222d3573ae6967a43e",
         "import": "46d7ceddda840268ac5aa74288211aa272c7b53e81071d0eabc576fcf34fe6bb",
-        "average": "805f21ac9667d50157e5e76dec53892cff5a6526914a63b62e579d62ff3bae75",
-        "median": "4569dd01df4d52601fe7cbc8c38039197f5a426473e84bd3e934cabfbf026be0",
+        "average": "74199873f0bd1dfececf7e4049780b4f31d7e0942d158ea7ca8a3071747f1c8d",
+        "median": "f329c40808fb94cc74ce1f1fc052112819edab12ad63a20f116835f1cf0b8d28",
         "generated/assessments.csv":
-            "924ca504940b1b0e069bd00f9b8fd46d30dea218ecad71239dfb2498967bacb4",
+            "caa40dc3821ac73f3d41e1748908f1d1ac84f96145eada05988cf09a5f1218e3",
         "generated/manifest.json":
             "db6a46b6232e396eaea02d9688afc378699ed26d57e3a91d2d9a6b91e29fd27b",
         "generated/ownership.csv":
             "ca37d0b3c8e1c636a4e6b58060501419ac172f988e592a648fc2c2c79a53c8bb",
-        "generated/social.csv": "b13c762d79dd6d72bfe75da38e7274e44365ed15f6f6e2fc468efd702fb9b609",
+        "generated/social.csv": "c422c99ecd665c205e837d1f8e47254318dfa8820e82909841ed576c38b94702",
         "generated/truth.csv": "e1b0bb28338b64f76b30307650954aad31c85a483e6454a5276ea2e676e5508d",
         "imported/assessments.csv":
-            "698f9f5dbab02cff8d6c732ad2253ae1bfaf4f452a15fde4469731a2dd88014a",
+            "e6e2e19dc2b8c93949862430235352983f3d6e831c165a71fe150c9a80fa644b",
         "imported/manifest.json":
             "db6a46b6232e396eaea02d9688afc378699ed26d57e3a91d2d9a6b91e29fd27b",
         "imported/ownership.csv":
             "ca37d0b3c8e1c636a4e6b58060501419ac172f988e592a648fc2c2c79a53c8bb",
-        "imported/social.csv": "b13c762d79dd6d72bfe75da38e7274e44365ed15f6f6e2fc468efd702fb9b609",
+        "imported/social.csv": "c422c99ecd665c205e837d1f8e47254318dfa8820e82909841ed576c38b94702",
         "imported/truth.csv": "1998cc38ff196996a4beed91f2d756bb25d256df882dbc7811ef7d326e18702a",
     }
 
@@ -423,6 +423,9 @@ class TestMalformedDocuments:
 
     @pytest.mark.parametrize("edit, pointer", [
         (lambda doc: doc.pop("d0"), "/d0"),
+        # the width of the removed one-hot input, with a W[0] that fits it
+        (lambda doc: doc.update(d0=2, weights={**doc["weights"], "W": [
+            doc["weights"]["W"][0] * 2, *doc["weights"]["W"][1:]]}), "/d0"),
         (lambda doc: doc["weights"].update(W=5), "/weights/W"),
         (lambda doc: doc["weights"]["W"][0].__setitem__(0, "x"), "/weights/W/0/0"),
         (lambda doc: doc["weights"].pop("b_out"), "/weights/b_out"),

@@ -13,6 +13,7 @@ from peergrade import (
     Dataset,
     GroundTruth,
     ModelParams,
+    SchemaError,
     Split,
     TrainConfig,
     TrainingDivergedError,
@@ -568,14 +569,15 @@ class TestTrain:
 
     def test_pinned_bits(self, small_dataset):
         # sha256 of the float64 loss history, then W[0], W[1], w_out and
-        # b_out, recorded before the optimizer and ELU were rewritten as
-        # whole-array code.  Any change to the arithmetic of an epoch shows.
+        # b_out, recorded when the grader draw became Floyd's sampling (a new
+        # random stream for the data set).  Any change to the arithmetic of an
+        # epoch shows.
         params, history = train(small_dataset, TrainConfig(epochs=50, seed=0))
         digest = hashlib.sha256(np.asarray(history, dtype=np.float64).tobytes())
         for array in (*params.W, params.w_out, np.float64(params.b_out)):
             digest.update(np.ascontiguousarray(array).tobytes())
         assert digest.hexdigest() == (
-            "e24279766289248cc73c47b9e0cebcc6d8dfc6c0506bf0c1d0c68824ae28c8d2")
+            "5e5374400e58f4e2b64d2938fb6ffe1bb176221e703e358375806f8e73fe537b")
 
     def test_equals_fresh_array_reference_bitwise(self):
         rng = np.random.default_rng(17)
@@ -709,6 +711,15 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(params.w_out, loaded.w_out)
         assert params.b_out == loaded.b_out
+
+    def test_rejects_input_width_other_than_one(self, tmp_path):
+        # weights that fit d0 = 2 load at the parser; the "ones" input is 1 wide
+        cfg = TrainConfig(epochs=1, layers=1, dim=2)
+        params = ModelParams(W=(np.zeros((2, 2)),), w_out=np.zeros(2), b_out=0.0)
+        path = tmp_path / "model.json"
+        save_model(params, cfg, path)
+        with pytest.raises(SchemaError, match=r"^/d0: 2 input features, the 'ones' input has 1$"):
+            load_model(path)
 
     def test_rejects_unknown_key(self, tmp_path):
         import json

@@ -134,22 +134,36 @@ class TestSocialEr:
         S = gen_social_er(50, ErConfig(p=0.2), np.random.default_rng(5))
         assert (S != S.T).nnz == 0
 
-    def test_equals_triu_indices_reference_bitwise(self):
+    def test_equals_pair_walk_reference_bitwise(self):
         rng = np.random.default_rng(20)
-        for n in (0, 1, 2, 3, 4, 7, 31, 60, 200):
-            for p in (0.0, 1.0, *rng.random(3)):
-                for seed in range(3):
-                    got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                    got = gen_social_er(n, ErConfig(p=p), got_rng)
-                    expected = reference_social_er(n, p, ref_rng)
-                    for attr in ("indptr", "indices", "data"):
-                        a, b = getattr(got, attr), getattr(expected, attr)
-                        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), (n, p, seed, attr)
-                    assert got_rng.random() == ref_rng.random()  # the same draws were taken
+        cases = [(n, p, seed) for n in (0, 1, 2, 3, 4, 7, 31, 60, 200)
+                 # 1e-300 draws gaps of 2**63 - 1, which must not overflow the pair index
+                 for p in (0.0, 1.0, 1e-300, *rng.random(3)) for seed in range(3)]
+        for n, p, seed in cases:
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = gen_social_er(n, ErConfig(p=p), got_rng)
+            assert_csr_bitwise(got, reference_social_er(n, p, ref_rng), (n, p, seed))
+            assert got_rng.random() == ref_rng.random()  # the same draws were taken
+
+    def test_each_batch_continues_where_the_last_ended(self):
+        # At p = 1e-6 every batch is one gap, and short scripted gaps keep many pairs
+        gaps = np.random.default_rng(24).integers(1, 4, size=200)
+        for n in (5, 10, 20):
+            got = gen_social_er(n, ErConfig(p=1e-6), ScriptedGaps(gaps))
+            assert_csr_bitwise(got, reference_social_er(n, 1e-6, ScriptedGaps(gaps)), n)
+            assert got.nnz > 0
+
+    @pytest.mark.parametrize("p", [0.1, 0.6])  # numpy draws Geometric(p) two ways, split at 1/3
+    def test_each_pair_kept_with_probability_p(self, p):
+        n, seeds = 8, 4000
+        counts = sum(gen_social_er(n, ErConfig(p=p), np.random.default_rng(seed)).toarray()
+                     for seed in range(seeds))
+        rates = counts[np.triu_indices(n, k=1)] / seeds
+        assert np.all(np.abs(rates - p) <= 5 * np.sqrt(p * (1 - p) / seeds)), rates
 
     def test_peak_memory_holds_no_index_arrays(self):
-        # The n (n - 1) / 2 uniform draws take 15.3 MiB at n = 2000; the two
-        # int64 np.triu_indices arrays the generator once built took 30.5 more.
+        # About 100k edges: 12.2 MiB measured.  The two int64 np.triu_indices
+        # arrays over all 2M pairs would take 30.5 MiB on their own.
         tracemalloc.start()
         try:
             gen_social_er(2000, ErConfig(p=0.05), np.random.default_rng(21))
@@ -158,13 +172,60 @@ class TestSocialEr:
             tracemalloc.stop()
         assert peak < 25
 
+    def test_peak_memory_is_linear_in_edges_at_50k_users(self):
+        # About 125k edges: 16.3 MiB measured.  A draw per user pair would take 9.3 GiB.
+        tracemalloc.start()
+        try:
+            S = gen_social_er(50_000, ErConfig(p=1e-4), np.random.default_rng(22))
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert abs(S.nnz / 2 - 124_997.5) <= 5 * np.sqrt(124_997.5)
+        assert peak < 24
+
+
+def assert_csr_bitwise(got, expected, context):
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(expected, attr)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), (context, attr)
+
+
+class ScriptedGaps:
+    """Stands in for a Generator whose ``geometric`` hands out the given gaps in order."""
+
+    def __init__(self, gaps):
+        self.gaps = iter(gaps)
+
+    def geometric(self, p, size):
+        return np.array([next(self.gaps) for _ in range(size)], dtype=np.int64)
+
 
 def reference_social_er(n, p, rng):
-    """``gen_social_er`` as first written: a draw per pair of ``np.triu_indices(n, 1)``."""
-    iu, ju = np.triu_indices(n, k=1)
-    keep = rng.random(iu.shape[0]) < p
-    rows = np.concatenate([iu[keep], ju[keep]])
-    cols = np.concatenate([ju[keep], iu[keep]])
+    """A walk over the pairs (i, j), i < j, in row order, keeping the pair each Geometric(p)
+    gap lands on; the gaps are drawn in the batches of ``gen_social_er``."""
+    pairs = n * (n - 1) // 2
+
+    def gaps():
+        last = -1  # index of the pair the gaps drawn so far reach
+        while True:
+            mean = (pairs - 1 - last) * p
+            for gap in rng.geometric(p, size=int(mean + 5 * np.sqrt(mean)) + 1):
+                last += int(gap)
+                yield int(gap)
+
+    rows, cols = [], []
+    if p > 0 and pairs > 0:
+        draw = gaps()
+        skip = next(draw)
+        for i in range(n):
+            for j in range(i + 1, n):
+                skip -= 1
+                if skip == 0:
+                    rows.append(i)
+                    cols.append(j)
+                    skip = next(draw)
+    r, c = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    rows, cols = np.concatenate([r, c]), np.concatenate([c, r])
     return sp.csr_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(n, n))
 
 
@@ -284,6 +345,26 @@ class TestBiasReliabilityAssessments:
         with pytest.raises(ValidationError):
             gen_assess_bias_reliability(gt, O, cfg, rng)
 
+    def test_grader_sets_uniform_over_non_owners(self):
+        # n = 5, k = 2: each owner's item gets one of the C(4, 2) = 6 pairs of non-owners
+        n, k, campaigns = 5, 2, 3000
+        rng = np.random.default_rng(23)
+        truth = GroundTruth.full(np.full(n, 0.5))
+        counts = {}
+        for _ in range(campaigns):
+            O = gen_ownership_one_to_one(n, n, rng)
+            A = gen_assess_bias_reliability(truth, O, BiasReliabilityConfig(k=k), rng).tocsc()
+            owner_of = O.tocsc().indices
+            for item in range(n):
+                graders = A.indices[A.indptr[item]:A.indptr[item + 1]]
+                # a repeated grader would merge into one stored entry
+                assert graders.shape == (k,) and owner_of[item] not in graders
+                key = (int(owner_of[item]), frozenset(graders.tolist()))
+                counts[key] = counts.get(key, 0) + 1
+        assert len(counts) == n * 6
+        sd = np.sqrt(campaigns * (1 / 6) * (5 / 6))
+        assert all(abs(c - campaigns / 6) <= 5 * sd for c in counts.values()), counts
+
     def test_alpha_range_enforced(self):
         with pytest.raises(ValidationError):
             BiasReliabilityConfig(alpha=1.5)
@@ -367,13 +448,21 @@ def dense_homophily(values, tau):
 
 
 def loop_assessments(truth, O, S, cfg, rng):
-    """Reference: dense lookups and one draw call per item, grader sets drawn first."""
+    """Reference: dense lookups, Floyd's sampling item by item, one grade draw call per item.
+
+    The grader draws come first, one ``rng.integers`` call per column for all items."""
     n, m = O.shape
     O_dense = O.toarray()
     owner_of, item_of = O_dense.argmax(axis=0), O_dense.argmax(axis=1)
+    tops = range(n - 1 - cfg.k, n - 1)
+    columns = [rng.integers(0, top + 1, size=m) for top in tops]
     graders = []
     for i in range(m):
-        picks = rng.choice(n - 1, size=cfg.k, replace=False)
+        picks = []
+        for top, column in zip(tops, columns):
+            draw = int(column[i])
+            picks.append(top if draw in picks else draw)
+        picks = np.array(picks)
         graders.append(picks + (picks >= owner_of[i]))
     rows, cols, vals = [], [], []
     for i, users in enumerate(graders):
@@ -411,32 +500,33 @@ TWO_POINT = MixtureConfig(pi=(0.5, 0.5), mu=(0.3, 0.4), sigma=(0.0, 0.0))
 
 
 class TestPinnedOutputs:
-    """Generator output bytes, recorded before the generators were vectorised."""
+    """Generator output bytes, recorded when Floyd's grader draw and the geometric-skip
+    ER draw replaced the per-item ``rng.choice`` and per-pair uniform draws."""
 
     @pytest.mark.parametrize("cfg, digest", [
         (default_scenario(seed=0, n=60, m=60),
-         "5a77494c5fb0d1c239becdc55a7304f6d637b6ce854f3466e4ce8778a6ded2b1"),
+         "e3ade7ac0d8b9d5dc76e475277ab9c7db5abb7525454f9e476a6970fd4eb3444"),
         (ScenarioConfig(n=60, m=60, seed=1, social=ErConfig(p=0.05),
                         assessment=StrategicConfig(k=3, sigma_h=0.0)),
-         "ab003c1f67af564cc35c37bd3defeb3865287a1f3f29e2735cc58526f21d929d"),
+         "cf8f35343311d391f2189ed4e3e4c333eb29f5563b4c9917c67d4a499ad7befc"),
         (ScenarioConfig(n=60, m=60, seed=1, social=ErConfig(p=1.0),
                         assessment=StrategicConfig(k=3, sigma_h=0.0)),
-         "79e6bc8a3c0fe5065701cdfe00293a504373c2d47da707d3e589a194c6b2db67"),
+         "55385a4ecc0c888435e3a608af81370136d43df84d318f65906525f71d5be0cc"),
         (ScenarioConfig(n=60, m=60, seed=1, social=ErConfig(p=0.05),
                         assessment=StrategicConfig(k=3, sigma_h=0.25)),
-         "76473d2a392bb1c3f683a13469474a4efb841f4af16da34a78fec25183d61aa9"),
+         "cfd9ea08e90d39857d361d75f1fb319f0f2dbced973889f8294dc78868d10906"),
         (ScenarioConfig(n=60, m=60, seed=2, mixture=TWO_POINT,
                         social=HomophilyConfig(tau=0.0), assessment=StrategicConfig()),
-         "190f2919b1be7f4585476e3c8e74e7a6f4985420d91a0dcb2851dc7cb79c4d5b"),
+         "f48e7ff821e81a948eb7598eea06358259e4c3335e65ab0f3237cc4502299747"),
         (ScenarioConfig(n=60, m=60, seed=2, mixture=TWO_POINT,
                         social=HomophilyConfig(tau=0.1), assessment=StrategicConfig()),
-         "190f2919b1be7f4585476e3c8e74e7a6f4985420d91a0dcb2851dc7cb79c4d5b"),
+         "f48e7ff821e81a948eb7598eea06358259e4c3335e65ab0f3237cc4502299747"),
         (ScenarioConfig(n=60, m=60, seed=2, mixture=TWO_POINT,
                         social=HomophilyConfig(tau=1.0), assessment=StrategicConfig()),
-         "62d1919f2d383f452c76ec74231c4b9ab0a4f5ad3818080e8a32a97ce8c825c1"),
+         "286b54da2b824555862e4d01ab0a0c31701a99180864ef89992e0b11e56c2949"),
         (ScenarioConfig(n=60, m=60, seed=3,
                         assessment=BiasReliabilityConfig(k=3, alpha=0.2, beta=0.9)),
-         "f03f0ead61bb9ea23fa3a33349b9b543eab8b8fdbe5b076567e4e6df5eec0b27"),
+         "905f5936338b40f09939064ca3620ceb19e181f1b9941fe9f803fb8d94141318"),
     ], ids=["default", "strategic-p0.05", "strategic-p1", "strategic-p0.05-noisy",
             "homophily-tau0", "homophily-tau0.1", "homophily-tau1", "bias-reliability"])
     def test_scenario_bytes(self, cfg, digest):
