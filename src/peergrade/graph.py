@@ -9,8 +9,9 @@ three weighted relations stored sparsely,
 
 A grade of exactly 0 is meaningful (the item *was* graded, with zero) and is
 kept as an explicit stored entry, distinct from a structurally absent entry
-(no assessment at all).  Degree normalization counts stored entries, so an
-explicit zero contributes to a node's degree but not to the weighted sums.
+(no assessment at all).  Degree normalization counts distinct stored
+positions: a position stored twice is one entry whose weights are summed, and
+an explicit zero contributes to a node's degree but not to the weighted sums.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ class PropagationMatrix:
 
     ``N`` is the (n+m) x (n+m) sparse matrix obtained by dividing each row of
     the combined adjacency (social block, ownership+assessment block, plus
-    identity self-loops) by that row's count of stored entries.  ``degrees``
-    holds those counts; the self-loop guarantees every degree is >= 1.
+    identity self-loops) by that row's count of distinct stored positions.
+    ``degrees`` (int64) holds those counts; the self-loop makes each >= 1.
 
     Users occupy rows 0..n-1, items rows n..n+m-1.
     """
@@ -145,6 +146,9 @@ def _index_map(ids: set[str]) -> tuple[dict[str, int], tuple[str, ...]]:
 
 
 def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
+    """The relation of ``shape`` storing each entry ``(rows[k], cols[k], vals[k])``, indices sorted.
+
+    A position given more than once is one entry with the sum of its weights; zeros stay stored."""
     coo = sp.coo_matrix(
         (np.asarray(vals, dtype=np.float64),
          (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
@@ -153,6 +157,11 @@ def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
     mat = coo.tocsr()
     mat.sort_indices()
     return mat
+
+
+def _symmetric(a, b, w, n: int) -> sp.csr_matrix:
+    """The (n, n) relation storing each entry ``(a[k], b[k], w[k])`` both ways."""
+    return _csr(np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w]), (n, n))
 
 
 class _Coded(NamedTuple):
@@ -288,8 +297,7 @@ def build_graph(
         (_outside_unit(w), lambda k: ValidationError(
             f"social weight out of range [0, 1] in entry {shown(k)!r}")),
     )
-    S = _csr(np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w]), (n, n))
-
+    S = _symmetric(a, b, w, n)
     return SoanGraph(n=n, m=m, S=S, O=O, A=A, user_ids=user_ids, item_ids=item_ids)
 
 
@@ -302,7 +310,8 @@ def from_matrices(
 ) -> SoanGraph:
     """Wrap already-built sparse relations, enforcing the graph invariants.
 
-    No two user ids, and no two item ids, may share a ``str()``: their bundle would not load."""
+    No two user ids, and no two item ids, may share a ``str()``, and no relation
+    may store an entry twice: their bundle would not load."""
     for name, ids in (("user_ids", user_ids), ("item_ids", item_ids)):
         keys = list(map(str, ids))
         _raise_first((_repeated(np.array(keys, dtype=object)), lambda k: ValidationError(
@@ -314,6 +323,17 @@ def from_matrices(
         mat.sort_indices()
     graph = SoanGraph(n=len(user_ids), m=len(item_ids), S=S, O=O, A=A,
                       user_ids=tuple(user_ids), item_ids=tuple(item_ids))
+    for name, mat, col_ids in (("S", S, graph.user_ids), ("O", O, graph.item_ids),
+                               ("A", A, graph.item_ids)):
+        starts = np.zeros(mat.nnz + 1, dtype=bool)
+        starts[mat.indptr] = True
+        # Indices sorted: entry k repeats entry k - 1 iff it has the same column and starts no row.
+        twice = np.flatnonzero((mat.indices[1:] == mat.indices[:-1]) & ~starts[1:-1]) + 1
+        if twice.size:
+            k = twice[0]
+            row = np.searchsorted(mat.indptr, k, side="right") - 1
+            raise ValidationError(
+                f"{name} stores entry {(graph.user_ids[row], col_ids[mat.indices[k]])!r} twice")
     report = validate(graph)
     if not report.ok:
         raise ValidationError("; ".join(report.errors))
@@ -323,30 +343,19 @@ def from_matrices(
 def propagation_matrix(graph: SoanGraph) -> PropagationMatrix:
     """Build the row-normalized operator from the combined adjacency.
 
-    The user-item block is ``P = O + A`` entrywise (a user who both owns and
-    assesses an item contributes the sum of the two weights, as a single
-    stored entry).  The combined matrix is ``[[S, P], [P^T, 0]] + I`` and
-    every row is divided by its count of stored entries.
+    The combined matrix is ``[[S, P], [P^T, 0]] + I`` with ``P = O + A``, and
+    every row is divided by its count of distinct stored positions.  A position
+    given twice (a user who both owns and assesses an item, a 0.0 stored on
+    ``S``'s diagonal beside the self-loop, or an entry a relation stores twice)
+    is one entry holding the sum of its weights.
     """
     n, m, size = graph.n, graph.m, graph.n + graph.m
-
-    oc = graph.O.tocoo()
-    ac = graph.A.tocoo()
-    P = sp.coo_matrix(
-        (np.concatenate([oc.data, ac.data]),
-         (np.concatenate([oc.row, ac.row]), np.concatenate([oc.col, ac.col]))),
-        shape=(n, m),
-    )
-    P.sum_duplicates()  # merges own+assess on the same item into one entry
-
-    sc = graph.S.tocoo()
-    rows = np.concatenate([sc.row, P.row, P.col + n, np.arange(size)])
-    cols = np.concatenate([sc.col, P.col + n, P.row, np.arange(size)])
-    vals = np.concatenate([sc.data, P.data, P.data, np.ones(size)])
-
-    degrees = np.bincount(rows, minlength=size)  # self-loop guarantees >= 1
-    N = sp.coo_matrix((vals / degrees[rows], (rows, cols)), shape=(size, size)).tocsr()
-    N.sort_indices()
+    s, o, a = graph.S.tocoo(), graph.O.tocoo(), graph.A.tocoo()
+    N = _csr(np.concatenate([s.row, o.row, a.row, o.col + n, a.col + n, np.arange(size)]),
+             np.concatenate([s.col, o.col + n, a.col + n, o.row, a.row, np.arange(size)]),
+             np.concatenate([s.data, o.data, a.data, o.data, a.data, np.ones(size)]), (size, size))
+    degrees = np.diff(N.indptr).astype(np.int64)  # self-loop guarantees >= 1
+    N.data /= np.repeat(degrees, degrees)
     return PropagationMatrix(N=N, degrees=degrees, n=n, m=m)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
-from .graph import Dataset, GroundTruth, from_matrices
+from .graph import Dataset, GroundTruth, _csr, _symmetric, from_matrices
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def gen_ownership_one_to_one(n: int, m: int, rng: np.random.Generator) -> sp.csr
     if n != m:
         raise ValidationError(f"one-to-one ownership requires n == m, got n={n}, m={m}")
     perm = rng.permutation(n)
-    return sp.csr_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, m))
+    return _csr(np.arange(n), perm, np.ones(n), (n, m))
 
 
 def gen_social_er(n: int, cfg: ErConfig, rng: np.random.Generator) -> sp.csr_matrix:
@@ -185,14 +185,7 @@ def gen_social_er(n: int, cfg: ErConfig, rng: np.random.Generator) -> sp.csr_mat
     i = np.arange(n)
     starts = i * (2 * n - i - 1) // 2
     iu = np.searchsorted(starts, keep, side="right") - 1
-    return _undirected(iu, keep - starts[iu] + iu + 1, n)
-
-
-def _undirected(r: np.ndarray, c: np.ndarray, n: int) -> sp.csr_matrix:
-    """Symmetric 0/1 (n, n) adjacency storing each pair (r[e], c[e]) both ways."""
-    rows = np.concatenate([r, c])
-    cols = np.concatenate([c, r])
-    return sp.csr_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(n, n))
+    return _symmetric(iu, keep - starts[iu] + iu + 1, np.ones(keep.shape[0]), n)
 
 
 def _owner_maps(O: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -221,7 +214,7 @@ def gen_social_homophily(truth: GroundTruth, O: sp.spmatrix, cfg: HomophilyConfi
     # 1-d ball query: exactly the pairs with |a - b| <= tau, in O(n log n + edges).
     tree = cKDTree(truth.v[item_of][:, None])
     pairs = tree.query_pairs(cfg.tau, p=np.inf, output_type="ndarray")
-    return _undirected(pairs[:, 0], pairs[:, 1], O.shape[0])
+    return _symmetric(pairs[:, 0], pairs[:, 1], np.ones(pairs.shape[0]), O.shape[0])
 
 
 def _grader_sets(m: int, n: int, k: int, owner_of: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -240,7 +233,7 @@ def _assessments(graders: np.ndarray, grades: np.ndarray, shape: tuple[int, int]
     """Assessment matrix: user ``graders[i, j]`` gives item i the grade ``grades.flat[i * k + j]``."""
     m, k = graders.shape
     items = np.repeat(np.arange(m), k)
-    return sp.csr_matrix((grades.ravel(), (graders.ravel(), items)), shape=shape)
+    return _csr(graders.ravel(), items, grades.ravel(), shape)
 
 
 def gen_assess_strategic(

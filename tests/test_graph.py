@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from peergrade import (
     validate,
 )
 
-from peergrade.graph import _outside_unit
+from peergrade.graph import PropagationMatrix, _outside_unit
+from peergrade.synthetic import HomophilyConfig, ScenarioConfig, build_scenario, strategic_scenario
 
 from conftest import dense_propagation, random_graph
 
@@ -317,6 +319,119 @@ class TestValidateCountsStoredEntries:
         assert validate(g) == ValidationReport([], [])
 
 
+# propagation_matrix as it was before it assembled N with one _csr call, verbatim:
+# the reference for the bytes of the current one on canonical graphs.
+def reference_propagation_matrix(graph: SoanGraph) -> PropagationMatrix:
+    """Build the row-normalized operator from the combined adjacency.
+
+    The user-item block is ``P = O + A`` entrywise (a user who both owns and
+    assesses an item contributes the sum of the two weights, as a single
+    stored entry).  The combined matrix is ``[[S, P], [P^T, 0]] + I`` and
+    every row is divided by its count of stored entries.
+    """
+    n, m, size = graph.n, graph.m, graph.n + graph.m
+
+    oc = graph.O.tocoo()
+    ac = graph.A.tocoo()
+    P = sp.coo_matrix(
+        (np.concatenate([oc.data, ac.data]),
+         (np.concatenate([oc.row, ac.row]), np.concatenate([oc.col, ac.col]))),
+        shape=(n, m),
+    )
+    P.sum_duplicates()  # merges own+assess on the same item into one entry
+
+    sc = graph.S.tocoo()
+    rows = np.concatenate([sc.row, P.row, P.col + n, np.arange(size)])
+    cols = np.concatenate([sc.col, P.col + n, P.row, np.arange(size)])
+    vals = np.concatenate([sc.data, P.data, P.data, np.ones(size)])
+
+    degrees = np.bincount(rows, minlength=size)  # self-loop guarantees >= 1
+    N = sp.coo_matrix((vals / degrees[rows], (rows, cols)), shape=(size, size)).tocsr()
+    N.sort_indices()
+    return PropagationMatrix(N=N, degrees=degrees, n=n, m=m)
+
+
+def canonical_graph(rng) -> SoanGraph:
+    """A ``build_graph`` graph: +-0.0 weights, owned-and-graded items, empty relations, lone nodes."""
+    n, m = (int(k) for k in rng.integers(1, 7, size=2))
+    users, items = [f"u{i}" for i in range(n)], [f"i{j}" for j in range(m)]
+    pool = [0.0, -0.0, 0.1, 0.25, 0.5, 0.7, 1.0]
+
+    def entries(pairs):
+        density = rng.choice([0.0, 0.3, 0.7])
+        return [(a, b, pool[int(rng.integers(len(pool)))])
+                for a, b in pairs if rng.random() < density]
+
+    grid = [(u, i) for u in users for i in items]
+    return build_graph(entries(grid), ownerships=entries(grid),
+                       social=entries(combinations(users, 2)), users=users, items=items)
+
+
+def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPropagationReference:
+    def test_same_bytes_as_the_reference_on_canonical_graphs(self):
+        rng = np.random.default_rng(23)
+        graphs = [canonical_graph(rng) for _ in range(400)] + [
+            build_scenario(cfg).graph for cfg in (
+                strategic_scenario(seed=1, n=40, m=40, p=0.1),
+                ScenarioConfig(n=30, m=30, seed=2, social=HomophilyConfig(tau=0.1)),
+                ScenarioConfig(n=25, m=25, seed=3))]
+        seen = dict.fromkeys(["zero", "negative zero", "owned and graded", "empty S",
+                              "empty O", "lone node", "n or m = 1"], 0)
+        for g in graphs:
+            prop, ref = propagation_matrix(g), reference_propagation_matrix(g)
+            for got, want in ((prop.N.indptr, ref.N.indptr), (prop.N.indices, ref.N.indices),
+                              (prop.N.data, ref.N.data), (prop.degrees, ref.degrees)):
+                assert same_bytes(got, want)
+            data = np.concatenate([g.S.data, g.O.data, g.A.data])
+            seen["zero"] += bool(np.any((data == 0) & ~np.signbit(data)))
+            seen["negative zero"] += bool(np.any((data == 0) & np.signbit(data)))
+            seen["owned and graded"] += bool(g.O.multiply(g.A.astype(bool)).nnz)
+            seen["empty S"] += g.S.nnz == 0 and g.n > 1
+            seen["empty O"] += g.O.nnz == 0
+            seen["lone node"] += bool(validate(g).warnings)
+            seen["n or m = 1"] += 1 in (g.n, g.m)
+        assert min(seen.values()) >= 30, seen
+
+
+def stores_twice(mat: sp.csr_matrix) -> bool:
+    return mat.nnz > mat.tocoo().tocsr().nnz  # tocsr sums what is stored twice
+
+
+class TestPositionsStoredTwice:
+    def test_each_position_counts_once_as_in_the_dense_oracle(self):
+        rng = np.random.default_rng(29)
+        twice = {"S": 0, "O": 0, "A": 0, "S diagonal": 0}
+        for _ in range(1200):
+            g = messy_graph(rng)
+            if any(_outside_unit(mat.data).any() for mat in (g.S, g.O, g.A)):
+                continue
+            prop = propagation_matrix(g)
+            N_ref, deg_ref = dense_propagation(g)
+            np.testing.assert_allclose(prop.N.toarray(), N_ref, atol=1e-15)
+            np.testing.assert_array_equal(prop.degrees, deg_ref)
+            for name in "SOA":
+                twice[name] += stores_twice(getattr(g, name))
+            ties = g.S.tocoo()
+            twice["S diagonal"] += bool(np.any(ties.row == ties.col))
+        assert min(twice.values()) >= 100, twice
+
+    def test_hand_example(self):
+        # S stores (u0, u1) and (u1, u0) twice each, A stores (u0, i0) twice.
+        S = raw_csr(np.random.default_rng(0), [(0, 1, 0.5), (1, 0, 0.5)] * 2, (2, 2))
+        A = raw_csr(np.random.default_rng(0), [(0, 0, 0.25)] * 2, (2, 1))
+        g = SoanGraph(n=2, m=1, S=S, O=sp.csr_matrix((2, 1)), A=A,
+                      user_ids=("u0", "u1"), item_ids=("i0",))
+        prop = propagation_matrix(g)
+        np.testing.assert_array_equal(prop.degrees, [3, 2, 2])
+        np.testing.assert_allclose(prop.N.toarray(), [[1 / 3, 1 / 3, 1 / 6],
+                                                      [1 / 2, 1 / 2, 0.0],
+                                                      [1 / 4, 0.0, 1 / 2]])
+
+
 TWO_USERS = build_graph([("u1", "i1", 0.8), ("u2", "i1", 0.6)])
 
 
@@ -431,6 +546,21 @@ class TestDomainTypes:
         empty = sp.csr_matrix((2, len(items)))
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             from_matrices(sp.csr_matrix((2, 2)), empty, empty, users, items)
+
+    @pytest.mark.parametrize("relation, entries, message", [
+        ("A", [(1, 0, 0.5), (0, 0, 0.25), (0, 0, 0.25)], "A stores entry ('u0', 'i0') twice"),
+        ("O", [(0, 0, 1.0), (1, 1, 0.5), (1, 0, 0.5), (1, 1, 0.0)], "O stores entry ('u1', 'i1') twice"),
+        ("A", [(1, 1, 0.0), (1, 1, -0.0)], "A stores entry ('u1', 'i1') twice"),  # row 0 empty
+        ("S", [(0, 1, 0.5), (1, 0, 0.5)] * 2, "S stores entry ('u0', 'u1') twice"),
+    ])
+    def test_from_matrices_rejects_an_entry_stored_twice(self, relation, entries, message):
+        mats = {name: sp.csr_matrix((2, 2)) for name in "SOA"}
+        mats[relation] = raw_csr(np.random.default_rng(1), entries, (2, 2))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            from_matrices(mats["S"], mats["O"], mats["A"], ("u0", "u1"), ("i0", "i1"))
+        once = list({(r, c): (r, c, w) for r, c, w in entries}.values())
+        mats[relation] = raw_csr(np.random.default_rng(1), once, (2, 2))  # the same column in two rows
+        assert from_matrices(mats["S"], mats["O"], mats["A"], ("u0", "u1"), ("i0", "i1"))
 
 
 class TestEquality:
