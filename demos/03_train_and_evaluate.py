@@ -15,7 +15,6 @@ from peergrade import (
     average_predict,
     build_scenario,
     default_scenario,
-    initial_features,
     median_predict,
     monte_carlo_splits,
     predict,
@@ -36,8 +35,7 @@ params, history = train(replace(dataset, split=split), cfg, prop=prop)
 print(f"trained {cfg.epochs} epochs in {time.perf_counter() - started:.1f}s; "
       f"train loss {history[0]:.4f} -> {history[-1]:.4f}")
 
-h0 = initial_features(cfg.features, prop)
-model_preds = predict(params, prop, h0, split.test)
+model_preds = predict(params, prop, split.test)
 
 print("\ntest RMSE (lower is better)")
 print(f"  model:   {rmse(model_preds, dataset.truth, split.test):.4f}")
@@ -46,6 +44,6 @@ print(f"  median:  {rmse(median_predict(dataset.graph, split.test), dataset.trut
 
 # The model is a proper transductive learner: its predictions exist for
 # every item, including the ones it saw labels for.
-all_preds = predict(params, prop, h0, range(dataset.graph.m))
+all_preds = predict(params, prop, range(dataset.graph.m))
 print(f"\npredictions span ({all_preds.min():.3f}, {all_preds.max():.3f}), "
       "always strictly inside (0, 1) thanks to the sigmoid head")

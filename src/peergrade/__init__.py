@@ -52,7 +52,6 @@ from .io import (
 from .model import (
     ModelParams,
     TrainConfig,
-    initial_features,
     load_model,
     predict,
     save_model,

@@ -30,7 +30,7 @@ from .harness import (
     run_sweep,
     split_summary,
 )
-from .model import initial_features, load_model, predict, save_model, train
+from .model import load_model, predict, save_model, train
 from .schema import to_doc
 from .synthetic import build_scenario
 
@@ -108,10 +108,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     dataset = pio.load_dataset(args.data)
-    params, cfg = load_model(args.model)
+    params, _ = load_model(args.model)
     split_cfg = pio.load_split_config(args.split)
     prop = propagation_matrix(dataset.graph)
-    preds = predict(params, prop, initial_features(cfg.features, prop), range(prop.m))
+    preds = predict(params, prop, range(prop.m))
     scores = [
         rmse(preds[list(split.test)], dataset.truth, split.test)
         for split in labelled_splits(dataset.truth, split_cfg)

@@ -311,7 +311,8 @@ def from_matrices(
     """Wrap already-built sparse relations, enforcing the graph invariants.
 
     No two user ids, and no two item ids, may share a ``str()``, and no relation
-    may store an entry twice: their bundle would not load."""
+    may store an entry twice: their bundle would not load.  ``S`` stores nothing
+    on its diagonal, not even a 0.0, which its bundle (upper triangle) would drop."""
     for name, ids in (("user_ids", user_ids), ("item_ids", item_ids)):
         keys = list(map(str, ids))
         _raise_first((_repeated(np.array(keys, dtype=object)), lambda k: ValidationError(
@@ -334,6 +335,11 @@ def from_matrices(
             row = np.searchsorted(mat.indptr, k, side="right") - 1
             raise ValidationError(
                 f"{name} stores entry {(graph.user_ids[row], col_ids[mat.indices[k]])!r} twice")
+    rows = np.repeat(np.arange(graph.n), np.diff(S.indptr))
+    on_diagonal = np.flatnonzero(S.indices == rows)
+    if on_diagonal.size:
+        user = graph.user_ids[rows[on_diagonal[0]]]
+        raise ValidationError(f"S stores entry {(user, user)!r} on its diagonal")
     report = validate(graph)
     if not report.ok:
         raise ValidationError("; ".join(report.errors))

@@ -18,7 +18,7 @@ import numpy as np
 from . import baselines
 from .errors import PeergradeError, ValidationError
 from .graph import Dataset, GroundTruth, Split, _item_ids, propagation_matrix
-from .model import TrainConfig, initial_features, predict, train
+from .model import TrainConfig, predict, train
 from .schema import document_json, to_doc
 from .synthetic import (
     BiasReliabilityConfig,
@@ -155,7 +155,7 @@ def run_experiment(
             if name == METHOD_GCN:
                 cfg = replace(train_cfg, seed=train_cfg.seed + index)
                 params, _ = train(replace(dataset, split=split), cfg, prop=prop)
-                preds = predict(params, prop, initial_features(cfg.features, prop), split.test)
+                preds = predict(params, prop, split.test)
             elif name == METHOD_AVERAGE:
                 preds = baselines.average_predict(dataset.graph, split.test)
             else:

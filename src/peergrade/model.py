@@ -6,8 +6,9 @@ Architecture: K propagation layers followed by a sigmoid readout on item rows,
     yhat_i = sigmoid(w_out . H[K][n+i] + b_out)
 
 where ``N`` is the row-normalized operator from :mod:`peergrade.graph`
-(users in rows 0..n-1, items in rows n..n+m-1).  Training minimizes the mean
-square error over the labeled items with full-batch Adam; gradients are
+(users in rows 0..n-1, items in rows n..n+m-1) and ``H[0]`` is one all-ones
+column, so the graph alone carries the information.  Training minimizes the
+mean square error over the labeled items with full-batch Adam; gradients are
 computed by hand-written reverse-mode differentiation.  Everything is 64-bit
 and deterministic for a fixed seed.
 """
@@ -105,16 +106,9 @@ class ForwardCache:
     prop: PropagationMatrix
 
 
-def initial_features(kind: str, prop: PropagationMatrix) -> np.ndarray:
-    """Default node features: one all-ones column, the only kind in ``FEATURE_KINDS``."""
-    if kind == "ones":
-        return np.ones((prop.size, 1))
-    raise ValidationError(f"unknown feature kind {kind!r}")
-
-
-def init_params(cfg: TrainConfig, d0: int, rng: np.random.Generator) -> ModelParams:
+def init_params(cfg: TrainConfig, rng: np.random.Generator) -> ModelParams:
     """Uniform fan-based initialization; head bias starts at zero."""
-    shapes = [(d0, cfg.dim)] + [(cfg.dim, cfg.dim)] * (cfg.layers - 1)
+    shapes = [(1, cfg.dim)] + [(cfg.dim, cfg.dim)] * (cfg.layers - 1)
     W = []
     for fan_in, fan_out in shapes:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -139,22 +133,17 @@ def _elu_grad(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 
 
 def forward(
-    params: ModelParams, prop: PropagationMatrix, h0, cache: Optional[ForwardCache] = None
+    params: ModelParams, prop: PropagationMatrix, cache: Optional[ForwardCache] = None
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on dense ``h0``; returns item predictions plus the cache.
+    """Run the network on the all-ones input; returns item predictions plus the cache.
 
-    Given the cache of an earlier pass with the same ``prop`` and ``h0`` objects
-    and layer widths, writes into its arrays (``N @ h0`` is reused, so ``h0``
-    must not change in place) and returns it; any other cache is a ValidationError.
+    Given the cache of an earlier pass with the same ``prop`` object and layer
+    widths, writes into its arrays (its ``N @ H[0]`` is reused) and returns it;
+    any other cache is a ValidationError.
     """
-    h0 = np.asarray(h0, dtype=np.float64)
-    if h0.ndim != 2 or h0.shape[0] != prop.size:
+    if params.W[0].shape[0] != 1:
         raise ValidationError(
-            f"feature matrix has shape {h0.shape}, expected ({prop.size}, d0)"
-        )
-    if params.W[0].shape[0] != h0.shape[1]:
-        raise ValidationError(
-            f"W[0] expects {params.W[0].shape[0]} input features, h0 has {h0.shape[1]}"
+            f"W[0] expects {params.W[0].shape[0]} input features, the 'ones' input has 1"
         )
 
     shapes = [(prop.size, W.shape[1]) for W in params.W]
@@ -164,11 +153,12 @@ def forward(
 
         # Above the first layer, only the last layer's N @ H buffer is kept;
         # the others are replaced by each pass.
-        cache = ForwardCache(h=[h0, *buffers()], z=buffers(), d_z=buffers(),
-                             propagated=[prop.N @ h0, *map(np.zeros, shapes[:-1])],
+        ones = np.ones((prop.size, 1))
+        cache = ForwardCache(h=[ones, *buffers()], z=buffers(), d_z=buffers(),
+                             propagated=[prop.N @ ones, *map(np.zeros, shapes[:-1])],
                              item_N=prop.N[prop.n:], predictions=None, params=params, prop=prop)
-    elif cache.prop is not prop or cache.h[0] is not h0 or [z.shape for z in cache.z] != shapes:
-        raise ValidationError("forward cache was made for another operator, input or layer widths")
+    elif cache.prop is not prop or [z.shape for z in cache.z] != shapes:
+        raise ValidationError("forward cache was made for another operator or layer widths")
     top = params.layers - 1
     for layer, W in enumerate(params.W):
         # The head reads item rows only, so the last layer's N @ H and ELU skip the rest.
@@ -201,16 +191,9 @@ def mse_loss(predictions: np.ndarray, truth: GroundTruth, train_ids: Sequence[in
     return float(np.mean(err * err))
 
 
-def backward(
-    params: ModelParams,
-    prop: PropagationMatrix,
-    cache: ForwardCache,
-    truth: GroundTruth,
-    train_ids: Sequence[int],
-) -> ModelParams:
-    """Exact gradients of the training loss w.r.t. every parameter."""
-    if cache.params is not params:
-        raise ValidationError("forward cache does not match these parameters")
+def backward(cache: ForwardCache, truth: GroundTruth, train_ids: Sequence[int]) -> ModelParams:
+    """Exact gradients of the training loss w.r.t. every parameter of the cached pass."""
+    params, prop = cache.params, cache.prop
     ids = _item_ids(train_ids, prop.m)
     if ids.size == 0:
         raise ValidationError("training set is empty")
@@ -286,35 +269,28 @@ def train(
     train_ids = _item_ids(dataset.split.train, dataset.graph.m)  # once, not per epoch
     if prop is None:
         prop = propagation_matrix(dataset.graph)
-    h0 = initial_features(cfg.features, prop)
-    rng = np.random.default_rng(cfg.seed)
-    params = init_params(cfg, h0.shape[1], rng)
+    params = init_params(cfg, np.random.default_rng(cfg.seed))
     state = init_adam_state(params)
 
     history: list[float] = []
     cache = None
     for epoch in range(cfg.epochs):
-        preds, cache = forward(params, prop, h0, cache)
+        preds, cache = forward(params, prop, cache)
         loss = mse_loss(preds, dataset.truth, train_ids)
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch, loss)
         history.append(loss)
-        grads = backward(params, prop, cache, dataset.truth, train_ids)
+        grads = backward(cache, dataset.truth, train_ids)
         params, state = adam_step(params, grads, state, cfg)
     if not np.all(np.isfinite(_flat(params))):  # the last step diverged; no loss saw it
         raise TrainingDivergedError(cfg.epochs, float("nan"))
     return params, history
 
 
-def predict(
-    params: ModelParams,
-    prop: PropagationMatrix,
-    h0: np.ndarray,
-    item_ids: Sequence[int],
-) -> np.ndarray:
+def predict(params: ModelParams, prop: PropagationMatrix, item_ids: Sequence[int]) -> np.ndarray:
     """Predicted valuations for the requested items, in request order."""
     ids = _item_ids(item_ids, prop.m)
-    preds, _ = forward(params, prop, h0)
+    preds, _ = forward(params, prop)
     return preds[ids]
 
 

@@ -20,7 +20,6 @@ from peergrade import (
     build_scenario,
     datasets_equal,
     default_scenario,
-    initial_features,
     load_dataset,
     monte_carlo_splits,
     predict,
@@ -127,11 +126,11 @@ class TestNumericalOracles:
         rng = np.random.default_rng(777)
         worst = 0.0
         for _ in range(20):
-            _, prop, _, h0, params, truth, train_ids = random_instance(
+            _, prop, _, params, truth, train_ids = random_instance(
                 rng, max_nodes=6, max_dim=4, max_layers=3)
-            _, cache = forward(params, prop, h0)
-            analytic = backward(params, prop, cache, truth, train_ids)
-            numeric = numerical_gradients(params, prop, h0, truth, train_ids, step=1e-5)
+            _, cache = forward(params, prop)
+            analytic = backward(cache, truth, train_ids)
+            numeric = numerical_gradients(params, prop, truth, train_ids, step=1e-5)
             worst = max(worst, max_relative_error(analytic, numeric))
         elapsed = time.perf_counter() - started
         ok = worst < 1e-4
@@ -147,10 +146,10 @@ class TestNumericalOracles:
             graph = random_graph(rng, n=n, m=m)
             prop = propagation_matrix(graph)
             cfg = TrainConfig(layers=int(rng.integers(1, 4)), dim=int(rng.integers(1, 5)))
-            params = init_params(cfg, 1, rng)
-            h0 = initial_features("ones", prop)
-            preds, _ = forward(params, prop, h0)
-            worst = max(worst, float(np.max(np.abs(preds - dense_forward(params, graph, h0)))))
+            params = init_params(cfg, rng)
+            preds, _ = forward(params, prop)
+            ones = np.ones((prop.size, 1))
+            worst = max(worst, float(np.max(np.abs(preds - dense_forward(params, graph, ones)))))
         ok = worst < 1e-10
         assert report_line("8 (dense forward oracle)", ok,
                            f"max abs deviation {worst:.2e} < 1e-10 over 100 graphs")
@@ -169,10 +168,9 @@ class TestReproducibility:
         dataset = build_scenario(default_scenario(seed=0))
         split = monte_carlo_splits(dataset.graph.m, SPLIT)[0]
         prop = propagation_matrix(dataset.graph)
-        h0 = initial_features(TRAIN.features, prop)
 
         params, _ = train(replace(dataset, split=split), TRAIN, prop=prop)
-        baseline_preds = predict(params, prop, h0, range(dataset.graph.m))
+        baseline_preds = predict(params, prop, range(dataset.graph.m))
 
         tampered_v = dataset.truth.v.copy()
         test_ids = list(split.test)
@@ -180,7 +178,7 @@ class TestReproducibility:
         tampered = Dataset(graph=dataset.graph, truth=GroundTruth.full(tampered_v),
                            split=split)
         params2, _ = train(tampered, TRAIN, prop=prop)
-        tampered_preds = predict(params2, prop, h0, range(dataset.graph.m))
+        tampered_preds = predict(params2, prop, range(dataset.graph.m))
 
         ok = np.array_equal(baseline_preds, tampered_preds)
         assert report_line("10 (transductive purity)", ok,

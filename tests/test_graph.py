@@ -562,6 +562,20 @@ class TestDomainTypes:
         mats[relation] = raw_csr(np.random.default_rng(1), once, (2, 2))  # the same column in two rows
         assert from_matrices(mats["S"], mats["O"], mats["A"], ("u0", "u1"), ("i0", "i1"))
 
+    @pytest.mark.parametrize("entries, user", [
+        ([(0, 0, 0.0), (0, 1, 0.5), (1, 0, 0.5)], "u0"),  # a bundle would drop the 0.0
+        ([(1, 1, -0.0)], "u1"),  # row 0 empty
+        ([(0, 1, 0.5), (1, 0, 0.5), (1, 1, 0.25)], "u1"),
+    ])
+    def test_from_matrices_rejects_an_entry_on_the_social_diagonal(self, entries, user):
+        S = raw_csr(np.random.default_rng(2), entries, (2, 2))
+        empty = sp.csr_matrix((2, 1))
+        message = f"S stores entry {(user, user)!r} on its diagonal"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            from_matrices(S, empty, empty, ("u0", "u1"), ("i0",))
+        off = raw_csr(np.random.default_rng(2), [e for e in entries if e[0] != e[1]], (2, 2))
+        assert from_matrices(off, empty, empty, ("u0", "u1"), ("i0",))
+
 
 class TestEquality:
     BASE = [("u1", "i1", 0.8), ("u2", "i1", 0.0)]

@@ -12,7 +12,6 @@ from peergrade import (
     ValidationError,
     average_predict,
     build_graph,
-    initial_features,
     median_predict,
     predict,
     propagation_matrix,
@@ -24,18 +23,17 @@ from peergrade.model import backward, forward, init_params, mse_loss
 GRAPH = build_graph([("u1", "a", 0.5), ("u2", "a", 0.25)], items=["b"])
 PROP = propagation_matrix(GRAPH)
 CFG = TrainConfig(dim=4, layers=2)
-H0 = initial_features(CFG.features, PROP)
-PARAMS = init_params(CFG, H0.shape[1], np.random.default_rng(0))
+PARAMS = init_params(CFG, np.random.default_rng(0))
 TRUTH = GroundTruth.full([0.1, 0.9])
 
 
 def _backward(ids):
-    _, cache = forward(PARAMS, PROP, H0)
-    return backward(PARAMS, PROP, cache, TRUTH, ids)
+    _, cache = forward(PARAMS, PROP)
+    return backward(cache, TRUTH, ids)
 
 
 CALLS = {
-    "predict": lambda ids: predict(PARAMS, PROP, H0, ids),
+    "predict": lambda ids: predict(PARAMS, PROP, ids),
     "rmse": lambda ids: rmse(np.zeros(1), TRUTH, ids),
     "average_predict": lambda ids: average_predict(GRAPH, ids),
     "median_predict": lambda ids: median_predict(GRAPH, ids),
@@ -68,7 +66,7 @@ def test_split_refuses_non_integer_ids(ids, dtype):
 
 
 def test_known_scalar_id_is_answered():
-    assert predict(PARAMS, PROP, H0, 1) == predict(PARAMS, PROP, H0, [1])[0]
+    assert predict(PARAMS, PROP, 1) == predict(PARAMS, PROP, [1])[0]
     assert rmse(np.float64(0.9), TRUTH, 1) == 0.0
     assert average_predict(GRAPH, 0).tolist() == [0.375]
     assert median_predict(GRAPH, 0).tolist() == [0.375]  # a list of one, as the average

@@ -21,7 +21,6 @@ from peergrade import (
     build_graph,
     build_scenario,
     default_scenario,
-    initial_features,
     load_model,
     monte_carlo_splits,
     predict,
@@ -66,11 +65,11 @@ def copy_params(params):
                        w_out=params.w_out.copy(), b_out=params.b_out)
 
 
-def numerical_gradients(params, prop, h0, truth, train_ids, step=1e-5):
+def numerical_gradients(params, prop, truth, train_ids, step=1e-5):
     """Central finite differences of the training loss in every parameter."""
 
     def loss_at(p):
-        preds, _ = forward(p, prop, h0)
+        preds, _ = forward(p, prop)
         return mse_loss(preds, truth, train_ids)
 
     def fd_matrix(index):
@@ -115,36 +114,32 @@ def random_instance(rng, max_nodes=6, max_dim=4, max_layers=3):
     cfg = TrainConfig(layers=int(rng.integers(1, max_layers + 1)),
                       dim=int(rng.integers(1, max_dim + 1)),
                       epochs=1, seed=int(rng.integers(0, 2**31)))
-    h0 = initial_features("ones", prop)
-    params = init_params(cfg, h0.shape[1], np.random.default_rng(cfg.seed))
+    params = init_params(cfg, np.random.default_rng(cfg.seed))
     truth = GroundTruth.full(rng.uniform(0.0, 1.0, graph.m))
     size = int(rng.integers(1, graph.m + 1))
     train_ids = tuple(int(x) for x in rng.choice(graph.m, size=size, replace=False))
-    return graph, prop, cfg, h0, params, truth, train_ids
+    return graph, prop, cfg, params, truth, train_ids
 
 
 def _one_grade():
-    """The operator of one user grading one item, and its ones features."""
-    prop = propagation_matrix(build_graph([("u1", "i1", 0.8)]))
-    return prop, initial_features("ones", prop)
+    """The operator of one user grading one item."""
+    return propagation_matrix(build_graph([("u1", "i1", 0.8)]))
 
 
 def _backward_without_train_ids():
-    prop, h0 = _one_grade()
-    params = init_params(TrainConfig(layers=1, dim=2), 1, np.random.default_rng(0))
-    _, cache = forward(params, prop, h0)
-    backward(params, prop, cache, GroundTruth.full([0.5]), [])
+    params = init_params(TrainConfig(layers=1, dim=2), np.random.default_rng(0))
+    _, cache = forward(params, _one_grade())
+    backward(cache, GroundTruth.full([0.5]), [])
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: TrainConfig(learning_rate=0), "learning_rate must be > 0"),
-    (lambda: initial_features("bogus", _one_grade()[0]), "unknown feature kind 'bogus'"),
-    # "ones" is the only input column: the one-hot input is refused in a config and here
+    # "ones" is the only input column: the one-hot input is refused in a config,
+    # and a first layer made for a wider input in forward
     (lambda: TrainConfig(features="one-hot"), "features must be one of ('ones',)"),
-    (lambda: initial_features("one-hot", _one_grade()[0]), "unknown feature kind 'one-hot'"),
-    (lambda: forward(init_params(TrainConfig(layers=1, dim=2), 1, np.random.default_rng(0)),
-                     _one_grade()[0], np.ones((3, 1))),
-     "feature matrix has shape (3, 1), expected (2, d0)"),
+    (lambda: forward(ModelParams(W=(np.ones((2, 3)),), w_out=np.ones(3), b_out=0.0),
+                     _one_grade()),
+     "W[0] expects 2 input features, the 'ones' input has 1"),
     (lambda: mse_loss(np.array([0.5, 0.5]),
                       GroundTruth(np.array([0.5, np.nan]), np.array([True, False])), [1]),
      "every training item needs a known ground-truth value"),
@@ -158,7 +153,7 @@ def test_bad_arguments_named(call, message):
 class TestInitParams:
     def test_shapes(self):
         cfg = TrainConfig(layers=2, dim=64)
-        params = init_params(cfg, 1, np.random.default_rng(0))
+        params = init_params(cfg, np.random.default_rng(0))
         assert params.W[0].shape == (1, 64)
         assert params.W[1].shape == (64, 64)
         assert params.w_out.shape == (64,)
@@ -166,15 +161,15 @@ class TestInitParams:
 
     def test_seed_determinism(self):
         cfg = TrainConfig()
-        p1 = init_params(cfg, 1, np.random.default_rng(9))
-        p2 = init_params(cfg, 1, np.random.default_rng(9))
+        p1 = init_params(cfg, np.random.default_rng(9))
+        p2 = init_params(cfg, np.random.default_rng(9))
         for a, b in zip(p1.W, p2.W):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(p1.w_out, p2.w_out)
 
     def test_fan_bounds(self):
         cfg = TrainConfig(layers=2, dim=64)
-        params = init_params(cfg, 1, np.random.default_rng(1))
+        params = init_params(cfg, np.random.default_rng(1))
         assert np.max(np.abs(params.W[0])) <= np.sqrt(6.0 / (1 + 64))
         assert np.max(np.abs(params.W[1])) <= np.sqrt(6.0 / (64 + 64))
 
@@ -185,14 +180,14 @@ class TestForward:
         prop = propagation_matrix(graph)
         params = ModelParams(W=(np.zeros((1, 4)), np.zeros((4, 4))),
                              w_out=np.zeros(4), b_out=0.0)
-        preds, _ = forward(params, prop, initial_features("ones", prop))
+        preds, _ = forward(params, prop)
         np.testing.assert_array_equal(preds, 0.5)
 
     def test_two_node_hand_computation(self):
         graph = build_graph([("u1", "i1", 0.8)])
         prop = propagation_matrix(graph)
         params = ModelParams(W=(np.ones((1, 1)),), w_out=np.ones(1), b_out=0.0)
-        preds, cache = forward(params, prop, initial_features("ones", prop))
+        preds, cache = forward(params, prop)
         # N @ ones = [0.9, 0.9]; ELU(0.9) = 0.9; head = sigmoid(0.9)
         assert cache.h[-1][1, 0] == pytest.approx(0.9, abs=1e-15)
         assert preds[0] == pytest.approx(expit(0.9), abs=1e-15)
@@ -202,23 +197,20 @@ class TestForward:
         graph = random_graph(rng, n=4, m=3)
         prop = propagation_matrix(graph)
         cfg = TrainConfig(layers=2, dim=5)
-        params = init_params(cfg, 1, rng)
-        h0 = initial_features("ones", prop)
-        preds, _ = forward(params, prop, h0)
-        flipped, _ = forward(replace(params, w_out=-params.w_out), prop, h0)
+        params = init_params(cfg, rng)
+        preds, _ = forward(params, prop)
+        flipped, _ = forward(replace(params, w_out=-params.w_out), prop)
         np.testing.assert_allclose(flipped, 1.0 - preds, atol=1e-12)
 
     def test_one_input_feature_equals_matmul_bitwise(self):
-        # +0.0 features times negative weights are -0.0 products, which BLAS returns as +0.0.
+        # Every row of N @ 1 is positive (each node has a self-loop), times
+        # signed zeros, subnormal, tiny and infinite weights.
         graph = random_graph(np.random.default_rng(4), n=6, m=5)
         prop = propagation_matrix(graph)
-        h0 = np.zeros((prop.size, 1))
-        h0[[1, 4, 7], 0] = [5e-324, 0.3, -2.0]
         W = np.array([[-0.5, 0.0, -0.0, 5e-324, -1e-300, 2.0, -np.inf]])
         params = ModelParams(W=(W, np.ones((7, 7))), w_out=np.ones(7), b_out=0.0)
-        with np.errstate(invalid="ignore"):
-            _, cache = forward(params, prop, h0)
-            expected = (prop.N @ h0) @ W
+        _, cache = forward(params, prop)
+        expected = (prop.N @ np.ones((prop.size, 1))) @ W
         assert cache.z[0].tobytes() == expected.tobytes()
 
     def test_shape_mismatch_rejected(self):
@@ -226,7 +218,7 @@ class TestForward:
         prop = propagation_matrix(graph)
         params = ModelParams(W=(np.ones((3, 2)),), w_out=np.ones(2), b_out=0.0)
         with pytest.raises(ValidationError):
-            forward(params, prop, initial_features("ones", prop))
+            forward(params, prop)
 
     def test_sparse_equals_dense_reference(self):
         rng = np.random.default_rng(3)
@@ -236,34 +228,32 @@ class TestForward:
             graph = random_graph(rng, n=n, m=m)
             prop = propagation_matrix(graph)
             cfg = TrainConfig(layers=int(rng.integers(1, 4)), dim=int(rng.integers(1, 5)))
-            h0 = initial_features("ones", prop)
-            params = init_params(cfg, h0.shape[1], rng)
-            preds, _ = forward(params, prop, h0)
-            ref = dense_forward(params, graph, h0)
+            params = init_params(cfg, rng)
+            preds, _ = forward(params, prop)
+            ref = dense_forward(params, graph, np.ones((prop.size, 1)))
             np.testing.assert_allclose(preds, ref, atol=1e-10)
 
     def test_predictions_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(4)
         graph = random_graph(rng, n=6, m=6)
         prop = propagation_matrix(graph)
-        params = init_params(TrainConfig(), 1, rng)
-        preds, _ = forward(params, prop, initial_features("ones", prop))
+        params = init_params(TrainConfig(), rng)
+        preds, _ = forward(params, prop)
         assert np.all(preds > 0.0) and np.all(preds < 1.0)
 
     def test_second_pass_writes_into_the_cache(self):
         rng = np.random.default_rng(15)
         graph = random_graph(rng, n=7, m=6)
         prop = propagation_matrix(graph)
-        h0 = initial_features("ones", prop)
-        first = init_params(TrainConfig(layers=3, dim=4), 1, rng)
-        second = init_params(TrainConfig(layers=3, dim=4), 1, rng)
-        _, cache = forward(first, prop, h0)
+        first = init_params(TrainConfig(layers=3, dim=4), rng)
+        second = init_params(TrainConfig(layers=3, dim=4), rng)
+        _, cache = forward(first, prop)
         kept = lambda c: [*c.h, *c.z, *c.d_z, c.propagated[0], c.propagated[-1], c.item_N]
         arrays = kept(cache)
-        preds, again = forward(second, prop, h0, cache)
+        preds, again = forward(second, prop, cache)
         assert again is cache and again.params is second
         assert all(a is b for a, b in zip(kept(again), arrays))
-        fresh_preds, fresh = forward(second, prop, h0)
+        fresh_preds, fresh = forward(second, prop)
         assert preds.tobytes() == fresh_preds.tobytes()
         for a, b in zip([*again.h, *again.z, *again.propagated],
                         [*fresh.h, *fresh.z, *fresh.propagated]):
@@ -275,14 +265,13 @@ class TestForward:
         graph = random_graph(rng, n=9, m=4, social_density=0.9)
         prop = propagation_matrix(graph)
         truth = GroundTruth.full(rng.uniform(0, 1, graph.m))
-        h0 = initial_features("ones", prop)
         for layers in (1, 1, 2, 3):
             cfg = TrainConfig(layers=layers, dim=3)
             cache = None
             for _ in range(2):  # a fresh pass, then one into its cache
-                params = init_params(cfg, h0.shape[1], rng)
-                _, cache = forward(params, prop, h0, cache)
-                backward(params, prop, cache, truth, (0, 2))
+                params = init_params(cfg, rng)
+                _, cache = forward(params, prop, cache)
+                backward(cache, truth, (0, 2))
                 user_rows = [cache.h[-1], cache.d_z[-1]]
                 if layers > 1:  # a first layer's N @ H[0] is whole, and so is its GEMM
                     user_rows += [cache.z[-1], cache.propagated[-1]]
@@ -296,13 +285,11 @@ class TestForward:
         rng = np.random.default_rng(16)
         graph = random_graph(rng, n=5, m=5)
         prop = propagation_matrix(graph)
-        params = init_params(TrainConfig(layers=2, dim=3), 2, rng)
-        h0 = rng.normal(size=(prop.size, 2))
-        _, cache = forward(params, prop, h0)
-        # another feature object, operator or layer widths cannot use this cache
-        wider = init_params(TrainConfig(layers=2, dim=4), 2, rng)
-        for args in ((params, prop, h0.copy()), (params, propagation_matrix(graph), h0),
-                     (wider, prop, h0)):
+        params = init_params(TrainConfig(layers=2, dim=3), rng)
+        _, cache = forward(params, prop)
+        # another operator or layer widths cannot use this cache
+        wider = init_params(TrainConfig(layers=2, dim=4), rng)
+        for args in ((params, propagation_matrix(graph)), (wider, prop)):
             with pytest.raises(ValidationError, match="forward cache"):
                 forward(*args, cache)
 
@@ -332,45 +319,19 @@ class TestBackward:
         prop = propagation_matrix(graph)
         params = ModelParams(W=(np.zeros((1, 3)),), w_out=np.zeros(3), b_out=0.0)
         truth = GroundTruth.full([0.5])
-        preds, cache = forward(params, prop, initial_features("ones", prop))
-        grads = backward(params, prop, cache, truth, (0,))
+        preds, cache = forward(params, prop)
+        grads = backward(cache, truth, (0,))
         assert grads.b_out == 0.0
         np.testing.assert_array_equal(grads.w_out, 0.0)
 
     def test_matches_finite_differences_on_random_instances(self):
         rng = np.random.default_rng(1234)
         for _ in range(20):
-            _, prop, _, h0, params, truth, train_ids = random_instance(rng)
-            preds, cache = forward(params, prop, h0)
-            analytic = backward(params, prop, cache, truth, train_ids)
-            numeric = numerical_gradients(params, prop, h0, truth, train_ids)
+            _, prop, _, params, truth, train_ids = random_instance(rng)
+            preds, cache = forward(params, prop)
+            analytic = backward(cache, truth, train_ids)
+            numeric = numerical_gradients(params, prop, truth, train_ids)
             assert max_relative_error(analytic, numeric) < 1e-4
-
-    def test_zero_feature_column_gives_zero_gradient_row(self):
-        rng = np.random.default_rng(8)
-        graph = random_graph(rng, n=4, m=4)
-        prop = propagation_matrix(graph)
-        h0 = np.ones((prop.size, 2))
-        h0[:, 1] = 0.0  # dead input feature
-        cfg = TrainConfig(layers=2, dim=3)
-        params = init_params(cfg, 2, rng)
-        truth = GroundTruth.full(rng.uniform(0, 1, graph.m))
-        preds, cache = forward(params, prop, h0)
-        grads = backward(params, prop, cache, truth, (0, 1))
-        np.testing.assert_array_equal(grads.W[0][1], 0.0)
-
-    def test_mismatched_cache_rejected(self):
-        rng = np.random.default_rng(9)
-        graph = random_graph(rng, n=3, m=3)
-        prop = propagation_matrix(graph)
-        cfg = TrainConfig(layers=1, dim=2)
-        h0 = initial_features("ones", prop)
-        params = init_params(cfg, 1, rng)
-        other = init_params(cfg, 1, rng)
-        truth = GroundTruth.full(rng.uniform(0, 1, graph.m))
-        _, cache = forward(params, prop, h0)
-        with pytest.raises(ValidationError):
-            backward(other, prop, cache, truth, (0,))
 
 
 def masked_elu(x):
@@ -413,12 +374,11 @@ def reference_backward(params, prop, saved, preds, truth, train_ids):
 
 def reference_train(dataset, cfg, prop):
     """:func:`train` with every epoch built from fresh arrays."""
-    h0 = initial_features(cfg.features, prop)
-    params = init_params(cfg, h0.shape[1], np.random.default_rng(cfg.seed))
+    params = init_params(cfg, np.random.default_rng(cfg.seed))
     state = init_adam_state(params)
     history = []
     for _ in range(cfg.epochs):
-        preds, saved = reference_forward(params, prop, h0)
+        preds, saved = reference_forward(params, prop, np.ones((prop.size, 1)))
         history.append(mse_loss(preds, dataset.truth, dataset.split.train))
         grads = reference_backward(params, prop, saved, preds, dataset.truth,
                                    dataset.split.train)
@@ -482,7 +442,7 @@ class TestElu:
 class TestAdam:
     def test_equals_per_tensor_reference_bitwise(self):
         rng = np.random.default_rng(12)
-        params = init_params(TrainConfig(layers=3, dim=5), 2, rng)
+        params = init_params(TrainConfig(layers=3, dim=5), rng)
         cfg = TrainConfig(learning_rate=0.05)
         state = init_adam_state(params)
         ref_params = params
@@ -628,8 +588,7 @@ class TestPredict:
         cfg = TrainConfig(epochs=30, seed=0)
         params, _ = train(small_dataset, cfg)
         prop = propagation_matrix(small_dataset.graph)
-        h0 = initial_features("ones", prop)
-        preds = predict(params, prop, h0, range(40))
+        preds = predict(params, prop, range(40))
         assert preds.shape == (40,)
         assert np.all((preds > 0) & (preds < 1))
 
@@ -637,18 +596,16 @@ class TestPredict:
         cfg = TrainConfig(epochs=30, seed=0)
         params, _ = train(small_dataset, cfg)
         prop = propagation_matrix(small_dataset.graph)
-        h0 = initial_features("ones", prop)
         order = np.array([5, 3, 9, 0])
-        np.testing.assert_array_equal(predict(params, prop, h0, order),
-                                      predict(params, prop, h0, range(40))[order])
+        np.testing.assert_array_equal(predict(params, prop, order),
+                                      predict(params, prop, range(40))[order])
 
     def test_unknown_item_rejected(self, small_dataset):
         cfg = TrainConfig(epochs=5, seed=0)
         params, _ = train(small_dataset, cfg)
         prop = propagation_matrix(small_dataset.graph)
-        h0 = initial_features("ones", prop)
         with pytest.raises(ValidationError):
-            predict(params, prop, h0, [40])
+            predict(params, prop, [40])
 
     def test_edge_insertion_order_never_changes_predictions(self):
         rng = np.random.default_rng(21)
@@ -659,9 +616,8 @@ class TestPredict:
         for ordering in (edges, edges[::-1]):
             graph = build_graph(ordering)
             prop = propagation_matrix(graph)
-            h0 = initial_features("ones", prop)
-            params = init_params(cfg, 1, np.random.default_rng(cfg.seed))
-            p, _ = forward(params, prop, h0)
+            params = init_params(cfg, np.random.default_rng(cfg.seed))
+            p, _ = forward(params, prop)
             preds.append(p)
         np.testing.assert_array_equal(preds[0], preds[1])
 
@@ -669,8 +625,7 @@ class TestPredict:
         cfg = TrainConfig(epochs=50, seed=1)
         params, _ = train(small_dataset, cfg)
         prop = propagation_matrix(small_dataset.graph)
-        h0 = initial_features("ones", prop)
-        before = predict(params, prop, h0, range(40))
+        before = predict(params, prop, range(40))
 
         tampered_v = small_dataset.truth.v.copy()
         test_ids = list(small_dataset.split.test)
@@ -679,7 +634,7 @@ class TestPredict:
                            truth=GroundTruth.full(tampered_v),
                            split=small_dataset.split)
         params2, _ = train(tampered, cfg)
-        after = predict(params2, prop, h0, range(40))
+        after = predict(params2, prop, range(40))
         np.testing.assert_array_equal(before, after)
 
 
@@ -689,10 +644,10 @@ class TestMemory:
     def test_forward_peak(self):
         # A dense (n+m)^2 operator alone would take 275 MB here.
         prop = propagation_matrix(build_scenario(default_scenario(seed=0, n=3000, m=3000)).graph)
-        params = init_params(TrainConfig(), 1, np.random.default_rng(0))
+        params = init_params(TrainConfig(), np.random.default_rng(0))
         tracemalloc.start()
         try:
-            forward(params, prop, initial_features("ones", prop))
+            forward(params, prop)
             peak = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()

@@ -1,5 +1,6 @@
 """The package namespace: what ``import peergrade`` and ``import *`` expose."""
 
+import inspect
 import types
 from pathlib import Path
 
@@ -42,3 +43,11 @@ def test_only_the_schema_module_checks_keys_by_hand():
                      and "reject_unknown(" in path.read_text(encoding="utf-8"))
     assert callers == []
     assert not hasattr(peergrade.schema, "expect_list")
+
+
+def test_only_the_model_builds_its_input():
+    # The all-ones input is made inside forward, and a pass is read back from its cache.
+    assert not hasattr(peergrade, "initial_features")
+    assert list(inspect.signature(peergrade.predict).parameters) == ["params", "prop", "item_ids"]
+    assert list(inspect.signature(peergrade.model.backward).parameters) == [
+        "cache", "truth", "train_ids"]
