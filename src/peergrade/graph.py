@@ -239,7 +239,7 @@ def _item_ids(ids, m: Optional[int] = None) -> np.ndarray:
     if ids.ndim > 1 or ids.size and ids.dtype.kind not in "iu":  # no float, bool, text or object
         raise ValidationError(f"item ids must be integers of at most one dimension, "
                               f"got dtype {ids.dtype} and shape {ids.shape}")
-    if m is not None:
+    if m is not None and ids.size and not 0 <= ids.min() <= ids.max() < m:
         flat = ids.ravel()  # a scalar id too
         _raise_first(((flat < 0) | (flat >= m),
                       lambda k: ValidationError(f"unknown item index {flat[k]} (m={m})")))

@@ -89,17 +89,16 @@ class AdamState:
 class ForwardCache:
     """Per-layer intermediates kept for backpropagation.
 
-    The head reads only item rows, so the last layer's sparse products and
-    ELU are computed on those: the user rows of ``h[-1]`` and ``d_z[-1]``
-    stay +0.0, and above the first layer those of ``propagated[-1]`` and
-    ``z[-1]`` too.  Passed back to :func:`forward`, its arrays are
-    overwritten in place.
+    The head reads only item rows, so the last layer's four arrays
+    (``propagated[-1]``, ``z[-1]``, ``h[-1]`` and ``d_z[-1]``) hold those m
+    rows alone, from the sparse product ``item_N @ H`` on.  Passed back to
+    :func:`forward`, its arrays are overwritten in place.
     """
 
     h: list[np.ndarray]           # H[0] .. H[K]
     z: list[np.ndarray]           # pre-activations Z[1] .. Z[K]
     d_z: list[np.ndarray]         # backward's buffers, shaped as z
-    propagated: list[np.ndarray]  # N @ H[l] for l = 0 .. K-1
+    propagated: list[np.ndarray]  # N @ H[l] for l = 0 .. K-1, N[n:] @ H[K-1] last
     item_N: sp.csr_matrix         # N[n:], the rows the last layer computes
     predictions: np.ndarray
     params: ModelParams  # the parameters this pass ran with
@@ -137,6 +136,7 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on the all-ones input; returns item predictions plus the cache.
 
+    The last layer computes only the item rows, the ones the head reads.
     Given the cache of an earlier pass with the same ``prop`` object and layer
     widths, writes into its arrays (its ``N @ H[0]`` is reused) and returns it;
     any other cache is a ValidationError.
@@ -146,33 +146,33 @@ def forward(
             f"W[0] expects {params.W[0].shape[0]} input features, the 'ones' input has 1"
         )
 
-    shapes = [(prop.size, W.shape[1]) for W in params.W]
+    top = params.layers - 1
+    shapes = [(prop.size, W.shape[1]) for W in params.W[:-1]] + [(prop.m, params.W[-1].shape[1])]
     if cache is None:
-        def buffers():  # the last layer writes only item rows, so its buffer starts zeroed
-            return [*map(np.empty, shapes[:-1]), np.zeros(shapes[-1])]
+        def buffers():
+            return [*map(np.empty, shapes)]
 
-        # Above the first layer, only the last layer's N @ H buffer is kept;
-        # the others are replaced by each pass.
-        ones = np.ones((prop.size, 1))
+        # The first and last layers' N @ H buffers are kept; the others are replaced by each pass.
+        ones, item_N = np.ones((prop.size, 1)), prop.N[prop.n:]
         cache = ForwardCache(h=[ones, *buffers()], z=buffers(), d_z=buffers(),
-                             propagated=[prop.N @ ones, *map(np.zeros, shapes[:-1])],
-                             item_N=prop.N[prop.n:], predictions=None, params=params, prop=prop)
+                             propagated=[(prop.N if top else item_N) @ ones,
+                                         *map(np.empty, shapes[1:])],
+                             item_N=item_N, predictions=None, params=params, prop=prop)
     elif cache.prop is not prop or [z.shape for z in cache.z] != shapes:
         raise ValidationError("forward cache was made for another operator or layer widths")
-    top = params.layers - 1
-    for layer, W in enumerate(params.W):
-        # The head reads item rows only, so the last layer's N @ H and ELU skip the rest.
-        rows = slice(prop.n if layer == top else 0, None)
-        if layer == top and layer:
-            cache.propagated[layer][rows] = cache.item_N @ cache.h[layer]
-        elif layer:
+    # One input column: a broadcast product; + 0.0 turns -0.0 into +0.0, as the GEMM does.
+    np.multiply(cache.propagated[0], params.W[0], out=cache.z[0])
+    cache.z[0] += 0.0
+    _elu(cache.z[0], out=cache.h[1])
+    for layer in range(1, params.layers):
+        if layer == top:
+            cache.propagated[layer][...] = cache.item_N @ cache.h[layer]
+        else:
             cache.propagated[layer] = prop.N @ cache.h[layer]
-        # Full-size even on the last layer: OpenBLAS picks its kernels by
-        # shape, so a GEMM on item rows alone can round differently.
-        z = np.matmul(cache.propagated[layer], W, out=cache.z[layer])
-        _elu(z[rows], out=cache.h[layer + 1][rows])
+        np.matmul(cache.propagated[layer], params.W[layer], out=cache.z[layer])
+        _elu(cache.z[layer], out=cache.h[layer + 1])
 
-    cache.predictions = sigmoid(cache.h[-1][prop.n:] @ params.w_out + params.b_out)
+    cache.predictions = sigmoid(cache.h[-1] @ params.w_out + params.b_out)
     cache.params = params
     return cache.predictions, cache
 
@@ -192,7 +192,10 @@ def mse_loss(predictions: np.ndarray, truth: GroundTruth, train_ids: Sequence[in
 
 
 def backward(cache: ForwardCache, truth: GroundTruth, train_ids: Sequence[int]) -> ModelParams:
-    """Exact gradients of the training loss w.r.t. every parameter of the cached pass."""
+    """Exact gradients of the training loss w.r.t. every parameter of the cached pass.
+
+    As in :func:`forward`, the last layer runs on item rows only.
+    """
     params, prop = cache.params, cache.prop
     ids = _item_ids(train_ids, prop.m)
     if ids.size == 0:
@@ -203,25 +206,22 @@ def backward(cache: ForwardCache, truth: GroundTruth, train_ids: Sequence[int]) 
     d_pred[ids] = 2.0 * (preds[ids] - truth.v[ids]) / ids.size
     d_logit = d_pred * preds * (1.0 - preds)
 
-    g_w_out = cache.h[-1][prop.n:].T @ d_logit
+    g_w_out = cache.h[-1].T @ d_logit
     g_b_out = float(d_logit.sum())
 
-    # d_h is zero on user rows (they do not reach the head), so the last
-    # layer's d_z is computed on item rows only; its user rows stay +0.0.
     d_z = cache.d_z
-    item_d_z = _elu_grad(cache.z[-1][prop.n:], out=d_z[-1][prop.n:])
-    item_d_z *= np.outer(d_logit, params.w_out)
+    _elu_grad(cache.z[-1], out=d_z[-1])
+    d_z[-1] *= np.outer(d_logit, params.w_out)
 
-    # The GEMMs stay full-size, as in forward: zero user rows add nothing.
     top = params.layers - 1
     g_W: list[np.ndarray] = [np.empty(0)] * params.layers
     for layer in range(top, -1, -1):
         g_W[layer] = cache.propagated[layer].T @ d_z[layer]
         if layer > 0:
-            # d_z @ W.T borrows the lower layer's buffer until N.T has taken it;
-            # on the last layer only its item rows are nonzero.
-            x = np.matmul(d_z[layer], params.W[layer].T, out=d_z[layer - 1])
-            d_h = cache.item_N.T @ x[prop.n:] if layer == top else prop.N.T @ x
+            # d_z @ W.T borrows the first rows of the lower layer's buffer
+            # until N.T (N[n:].T on the last layer) has taken it.
+            x = np.matmul(d_z[layer], params.W[layer].T, out=d_z[layer - 1][:len(d_z[layer])])
+            d_h = (cache.item_N if layer == top else prop.N).T @ x
             _elu_grad(cache.z[layer - 1], out=d_z[layer - 1])
             d_z[layer - 1] *= d_h
     return ModelParams(W=tuple(g_W), w_out=g_w_out, b_out=g_b_out)

@@ -189,7 +189,7 @@ class TestForward:
         params = ModelParams(W=(np.ones((1, 1)),), w_out=np.ones(1), b_out=0.0)
         preds, cache = forward(params, prop)
         # N @ ones = [0.9, 0.9]; ELU(0.9) = 0.9; head = sigmoid(0.9)
-        assert cache.h[-1][1, 0] == pytest.approx(0.9, abs=1e-15)
+        assert cache.h[-1][0, 0] == pytest.approx(0.9, abs=1e-15)
         assert preds[0] == pytest.approx(expit(0.9), abs=1e-15)
 
     def test_head_negation_flips_predictions(self):
@@ -259,26 +259,28 @@ class TestForward:
                         [*fresh.h, *fresh.z, *fresh.propagated]):
             assert a.tobytes() == b.tobytes()
 
-    def test_last_layer_user_rows_stay_positive_zero(self):
-        # The head reads item rows only; the last layer leaves its user rows at +0.0.
+    def test_last_layer_arrays_hold_item_rows_only(self):
+        # The head reads item rows only, so the last layer's four arrays hold
+        # m rows, and a second pass writes into them.
         rng = np.random.default_rng(19)
         graph = random_graph(rng, n=9, m=4, social_density=0.9)
         prop = propagation_matrix(graph)
         truth = GroundTruth.full(rng.uniform(0, 1, graph.m))
-        for layers in (1, 1, 2, 3):
+        last = lambda c: [c.propagated[-1], c.z[-1], c.h[-1], c.d_z[-1]]
+        for layers in (1, 2, 3):
             cfg = TrainConfig(layers=layers, dim=3)
-            cache = None
-            for _ in range(2):  # a fresh pass, then one into its cache
-                params = init_params(cfg, rng)
-                _, cache = forward(params, prop, cache)
-                backward(cache, truth, (0, 2))
-                user_rows = [cache.h[-1], cache.d_z[-1]]
-                if layers > 1:  # a first layer's N @ H[0] is whole, and so is its GEMM
-                    user_rows += [cache.z[-1], cache.propagated[-1]]
-                for array in user_rows:
-                    assert array.shape[0] == prop.size
-                    assert array[:prop.n].tobytes() == bytes(array[:prop.n].nbytes)
-                assert np.any(cache.h[-1][prop.n:] != 0.0)
+            _, cache = forward(init_params(cfg, rng), prop)
+            backward(cache, truth, (0, 2))
+            arrays = last(cache)
+            assert [a.shape[0] for a in arrays] == [prop.m] * 4
+            params = init_params(cfg, rng)
+            _, again = forward(params, prop, cache)
+            backward(again, truth, (0, 2))
+            assert all(a is b for a, b in zip(last(again), arrays))
+            _, fresh = forward(params, prop)
+            backward(fresh, truth, (0, 2))
+            for a, b in zip(arrays, last(fresh)):
+                assert a.tobytes() == b.tobytes()
             assert (cache.item_N != prop.N[prop.n:]).nnz == 0
 
     def test_cache_is_not_reused_across_inputs(self):
@@ -333,6 +335,25 @@ class TestBackward:
             numeric = numerical_gradients(params, prop, truth, train_ids)
             assert max_relative_error(analytic, numeric) < 1e-4
 
+    @pytest.mark.parametrize("layers", (1, 2, 3))
+    @pytest.mark.parametrize("m", (1, 2))
+    def test_tiny_item_counts_match_oracles(self, m, layers):
+        # The last layer's GEMMs have m rows here, where numpy may take its
+        # GEMV or dot path instead of GEMM.
+        rng = np.random.default_rng(10 * m + layers)
+        for _ in range(4):
+            graph = random_graph(rng, n=int(rng.integers(1, 9)), m=m)
+            prop = propagation_matrix(graph)
+            cfg = TrainConfig(layers=layers, dim=int(rng.integers(1, 5)))
+            params = init_params(cfg, rng)
+            truth = GroundTruth.full(rng.uniform(0.0, 1.0, m))
+            train_ids = tuple(range(m))
+            preds, cache = forward(params, prop)
+            np.testing.assert_allclose(
+                preds, dense_forward(params, graph, np.ones((prop.size, 1))), atol=1e-10)
+            numeric = numerical_gradients(params, prop, truth, train_ids)
+            assert max_relative_error(backward(cache, truth, train_ids), numeric) < 1e-4
+
 
 def masked_elu(x):
     """Loop-style reference: the ELU branch applied through a boolean mask."""
@@ -344,32 +365,34 @@ def masked_elu(x):
 
 
 def reference_forward(params, prop, h0):
-    """The forward pass as first written: fresh arrays, masked ELU."""
+    """The forward pass from fresh arrays and the masked ELU; the last layer on item rows."""
     h, z, propagated = [h0], [], []
-    for W in params.W:
-        propagated.append(prop.N @ h[-1])
+    top = len(params.W) - 1
+    for layer, W in enumerate(params.W):
+        N = prop.N[prop.n:] if layer == top else prop.N
+        propagated.append(N @ h[-1])
         z.append(propagated[-1] @ W)
         h.append(masked_elu(z[-1])[0])
-    return expit(h[-1][prop.n:] @ params.w_out + params.b_out), (h, z, propagated)
+    return expit(h[-1] @ params.w_out + params.b_out), (h, z, propagated)
 
 
 def reference_backward(params, prop, saved, preds, truth, train_ids):
-    """The backward pass as first written: a full-size d_h, masked ELU gradient."""
+    """The backward pass from fresh arrays, masked ELU gradient; the last layer on item rows."""
     h, z, propagated = saved
     ids = np.asarray(train_ids)
     d_pred = np.zeros(prop.m)
     d_pred[ids] = 2.0 * (preds[ids] - truth.v[ids]) / ids.size
     d_logit = d_pred * preds * (1.0 - preds)
-    d_h = np.zeros_like(h[-1])
-    d_h[prop.n:] = np.outer(d_logit, params.w_out)
+    d_h = np.outer(d_logit, params.w_out)
+    top = len(params.W) - 1
     g_W = [None] * len(params.W)
     for layer in reversed(range(len(params.W))):
         d_z = d_h * masked_elu(z[layer])[1]
         g_W[layer] = propagated[layer].T @ d_z
         if layer:
-            d_h = prop.N.T @ (d_z @ params.W[layer].T)
-    return ModelParams(W=tuple(g_W), w_out=h[-1][prop.n:].T @ d_logit,
-                       b_out=float(d_logit.sum()))
+            N = prop.N[prop.n:] if layer == top else prop.N
+            d_h = N.T @ (d_z @ params.W[layer].T)
+    return ModelParams(W=tuple(g_W), w_out=h[-1].T @ d_logit, b_out=float(d_logit.sum()))
 
 
 def reference_train(dataset, cfg, prop):
@@ -555,9 +578,7 @@ class TestTrain:
     def test_social_heavy_graphs_equal_fresh_array_reference_bitwise(self):
         # User-user ties hold most of N's entries, as on the strategic
         # campaign, so the user rows the last layer skips carry most of N;
-        # one-layer models included.  The small item counts matter: on such
-        # shapes a GEMM over item rows alone rounds differently from the
-        # full-size one.
+        # one-layer models included.
         rng = np.random.default_rng(18)
         graphs = [build_scenario(strategic_scenario(seed=4, n=40, m=40, p=0.5)).graph]
         for _ in range(23):
