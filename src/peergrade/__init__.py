@@ -45,9 +45,7 @@ from .io import (
     load_scenario_config,
     load_split_config,
     load_train_config,
-    read_results,
     save_dataset,
-    write_results,
 )
 from .model import (
     ModelParams,

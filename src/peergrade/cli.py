@@ -133,7 +133,7 @@ def _cmd_baseline(args) -> int:
     split_cfg = pio.load_split_config(args.split)
     report = run_experiment(dataset, [args.method], split_cfg, train_cfg=None)
     _log(f"scored {args.method} in {report.wall_clock_seconds:.2f}s")
-    sys.stdout.write(report.canonical_json(include_timing=False))
+    sys.stdout.write(report.canonical_json())
     return EXIT_OK
 
 

@@ -105,11 +105,10 @@ class ExperimentReport:
     std: dict[str, float]
     wall_clock_seconds: float = 0.0
 
-    def canonical_json(self, include_timing: bool = False) -> str:
-        """Deterministic serialization; timing is excluded by default."""
+    def canonical_json(self) -> str:
+        """Deterministic serialization: every field but ``wall_clock_seconds``."""
         body = to_doc(self)
-        if not include_timing:
-            del body["wall_clock_seconds"]
+        del body["wall_clock_seconds"]
         return document_json("experiment-report", body)
 
 
@@ -126,7 +125,7 @@ def run_experiment(
     matrix.  Splits are drawn over the labelled items only; means and stds
     come from :func:`split_summary`.
     """
-    methods = tuple(methods)
+    methods = tuple(dict.fromkeys(methods))  # each method once, in first-named order
     for name in methods:
         if name not in METHODS:
             raise ValidationError(f"unknown method {name!r}; choose from {METHODS}")
@@ -151,7 +150,7 @@ def run_experiment(
     per_split: dict[str, list[float]] = {name: [] for name in methods}
 
     for index, split in enumerate(splits):
-        for name in per_split:  # each method once, however often it is named
+        for name in methods:
             if name == METHOD_GCN:
                 cfg = replace(train_cfg, seed=train_cfg.seed + index)
                 params, _ = train(replace(dataset, split=split), cfg, prop=prop)

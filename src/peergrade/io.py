@@ -1,4 +1,4 @@
-"""Serialization: dataset bundles (CSV), configs and results (canonical JSON).
+"""Serialization: dataset bundles (CSV) and configs (canonical JSON).
 
 A dataset bundle is a directory holding ``assessments.csv`` and ``truth.csv``
 (always), ``ownership.csv`` and ``social.csv`` (only when nonempty: a save
@@ -37,7 +37,7 @@ from .graph import (
     _triples,
     build_graph,
 )
-from .harness import METHOD_AVERAGE, METHOD_GCN, ExperimentReport, SplitConfig, SweepSpec
+from .harness import METHOD_AVERAGE, METHOD_GCN, SplitConfig, SweepSpec
 from .model import TrainConfig
 from .schema import (
     canonical_json,  # re-exported: the CLI writes its stdout with it
@@ -374,14 +374,3 @@ def load_sweep_document(path) -> tuple[SweepSpec, list[str], SplitConfig, TrainC
     split_cfg = _config(SplitConfig, doc.split, "/split")
     train_cfg = _config(TrainConfig, doc.train, "/train")
     return SweepSpec(param=doc.param, grid=doc.grid, base=base), doc.methods, split_cfg, train_cfg
-
-
-# --- results ------------------------------------------------------------------
-
-def write_results(report: ExperimentReport, path) -> None:
-    """Persist a report as canonical JSON (timing included)."""
-    Path(path).write_text(report.canonical_json(include_timing=True), encoding="utf-8")
-
-
-def read_results(path) -> ExperimentReport:
-    return from_doc(ExperimentReport, read_document(path, "experiment-report"))

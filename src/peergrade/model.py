@@ -27,8 +27,6 @@ from .errors import SchemaError, TrainingDivergedError, ValidationError
 from .graph import Dataset, GroundTruth, PropagationMatrix, _item_ids, propagation_matrix
 from .schema import document_json, from_doc, read_document, to_doc
 
-FEATURE_KINDS = ("ones",)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -42,7 +40,6 @@ class TrainConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
     seed: int = 0
-    features: str = "ones"
 
     def __post_init__(self):
         if self.layers < 1 or self.dim < 1 or self.epochs < 1:
@@ -56,8 +53,6 @@ class TrainConfig:
             raise ValidationError(f"epsilon must be > 0, got {self.epsilon}")
         if self.seed < 0:
             raise ValidationError(f"seed {self.seed} must be >= 0")
-        if self.features not in FEATURE_KINDS:
-            raise ValidationError(f"features must be one of {FEATURE_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -305,17 +300,16 @@ class _Weights:
 
 @dataclass(frozen=True)
 class _Checkpoint:
-    """A ``model-checkpoint`` document: config echo, input width and weights."""
+    """A ``model-checkpoint`` document: config echo and weights."""
 
     train_config: TrainConfig
-    d0: int
     weights: _Weights
 
 
 def save_model(params: ModelParams, cfg: TrainConfig, path) -> None:
     weights = _Weights(W=[w.reshape(-1).tolist() for w in params.W],
                        w_out=params.w_out.tolist(), b_out=params.b_out)
-    doc = to_doc(_Checkpoint(train_config=cfg, d0=int(params.W[0].shape[0]), weights=weights))
+    doc = to_doc(_Checkpoint(train_config=cfg, weights=weights))
     Path(path).write_text(document_json("model-checkpoint", doc), encoding="utf-8")
 
 
@@ -329,12 +323,10 @@ def load_model(path) -> tuple[ModelParams, TrainConfig]:
             raise SchemaError(f"{where}: {arr.size} weights do not fit shape {shape}")
         return arr.reshape(shape)
 
-    if doc.d0 != 1:
-        raise SchemaError(f"/d0: {doc.d0} input features, the 'ones' input has 1")
     if len(weights.W) != cfg.layers:
         raise SchemaError(f"/weights/W: {len(weights.W)} weight matrices, config expects {cfg.layers}")
     params = ModelParams(
-        W=tuple(array(w, (doc.d0 if layer == 0 else cfg.dim, cfg.dim), f"/weights/W/{layer}")
+        W=tuple(array(w, (1 if layer == 0 else cfg.dim, cfg.dim), f"/weights/W/{layer}")
                 for layer, w in enumerate(weights.W)),
         w_out=array(weights.w_out, (cfg.dim,), "/weights/w_out"),
         b_out=weights.b_out,

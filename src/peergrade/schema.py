@@ -3,14 +3,14 @@
 :func:`to_doc` and :func:`from_doc` read the schema off the dataclass itself
 (its fields and type hints), so each document is declared once.  Field
 types map to JSON as follows: ``int``/``float``/``str``/``list``/``dict`` as
-themselves, ``tuple[T, T]`` as a list of that length, ``tuple[T, ...]`` and
-``list[T]`` as lists, ``dict[str, T]`` as an object, a nested dataclass as an
-object, and a ``Union`` of dataclasses as an object tagged by each member's
-``KIND`` (``None`` is ``{"kind": "none"}``); a ``Union`` of leaves, such as
-``Union[int, float]`` or ``Optional[int]``, is checked as ``float`` if that is a
-member, else as its first member, and kept as written.  A wrong key or type is a
-:class:`SchemaError` naming the JSON pointer of the offending value; range
-checks stay in each dataclass's ``__post_init__``.
+themselves, ``tuple[T, T]`` as a list of that length, ``list[T]`` as a list, a
+nested dataclass as an object, and a ``Union`` of dataclasses as an object
+tagged by each member's ``KIND`` (``None`` is ``{"kind": "none"}``); a
+``Union`` of leaves, such as ``Union[int, float]`` or ``Optional[int]``, is
+checked as ``float`` if that is a member, else as its first member, and kept as
+written.  A wrong key or type is a :class:`SchemaError` naming the JSON pointer
+of the offending value; range checks stay in each dataclass's
+``__post_init__``.
 
 Every document file carries ``"schema_version": 1`` and its ``kind``; that
 envelope is written by :func:`document_json` and checked and stripped by
@@ -154,8 +154,6 @@ def _read(typ, obj, where: str, base):
             return origin(obj)
         return origin(_read(args[0], x, f"{where}/{i}", None)
                       for i, x in enumerate(expect(obj, list, where)))
-    if origin is dict:
-        return {k: _read(args[1], v, f"{where}/{k}", None) for k, v in expect(obj, dict, where).items()}
     if dataclasses.is_dataclass(typ):
         return from_doc(typ, obj, where, base)
     return expect(obj, typ, where)

@@ -421,19 +421,24 @@ class TestMalformedDocuments:
         capsys.readouterr()
         return model
 
-    @pytest.mark.parametrize("edit, pointer", [
-        (lambda doc: doc.pop("d0"), "/d0"),
-        # the width of the removed one-hot input, with a W[0] that fits it
+    @pytest.mark.parametrize("edit, message", [
+        # the input width, which the one all-ones input column fixes at 1
+        (lambda doc: doc.update(d0=1), "/: unknown key 'd0'"),
+        # a checkpoint of the removed one-hot input: the key is named before the weights
         (lambda doc: doc.update(d0=2, weights={**doc["weights"], "W": [
-            doc["weights"]["W"][0] * 2, *doc["weights"]["W"][1:]]}), "/d0"),
-        (lambda doc: doc["weights"].update(W=5), "/weights/W"),
-        (lambda doc: doc["weights"]["W"][0].__setitem__(0, "x"), "/weights/W/0/0"),
-        (lambda doc: doc["weights"].pop("b_out"), "/weights/b_out"),
-        (lambda doc: doc.pop("train_config"), "/train_config"),
-        (lambda doc: doc["weights"].update(bias=0.0), "/weights"),
+            doc["weights"]["W"][0] * 2, *doc["weights"]["W"][1:]]}), "/: unknown key 'd0'"),
+        # a first layer made for two input columns, without "d0"
+        (lambda doc: doc["weights"]["W"].__setitem__(0, doc["weights"]["W"][0] * 2),
+         "/weights/W/0: 16 weights do not fit shape (1, 8)"),
+        (lambda doc: doc["weights"].update(W=5), "/weights/W: expected list, got int"),
+        (lambda doc: doc["weights"]["W"][0].__setitem__(0, "x"),
+         "/weights/W/0/0: expected float, got str"),
+        (lambda doc: doc["weights"].pop("b_out"), "/weights/b_out: missing required key"),
+        (lambda doc: doc.pop("train_config"), "/train_config: missing required key"),
+        (lambda doc: doc["weights"].update(bias=0.0), "/weights: unknown key 'bias'"),
     ])
     def test_malformed_checkpoint_is_validation_error(
-            self, model_file, bundle_dir, split_file, capsys, edit, pointer):
+            self, model_file, bundle_dir, split_file, capsys, edit, message):
         doc = json.loads(model_file.read_text())
         edit(doc)
         model_file.write_text(json.dumps(doc))
@@ -441,30 +446,35 @@ class TestMalformedDocuments:
                          "--split", str(split_file)])
         err = capsys.readouterr().err
         assert code == 3
-        assert f"{pointer}: " in err and "Traceback" not in err
+        assert err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_one_hot_features_are_a_validation_error(self, tmp_path, bundle_dir, split_file,
-                                                     train_file, model_file, capsys, command):
-        # "ones" is the only feature kind, in a train config and in a checkpoint's echo of one
-        def with_one_hot(path, key=None):
+    @pytest.mark.parametrize("command, pointer", [
+        ("train", "/"), ("sweep", "/train"), ("eval", "/train_config")])
+    def test_features_key_is_a_validation_error(self, tmp_path, bundle_dir, split_file,
+                                                train_file, model_file, capsys, command, pointer):
+        # the input is one all-ones column: a train config, a sweep spec's "train" and a
+        # checkpoint's echo of its train config have no "features" key, whatever its value
+        def with_features(path, key=None):
             doc = json.loads(path.read_text())
-            (doc[key] if key else doc)["features"] = "one-hot"
+            (doc[key] if key else doc)["features"] = "ones"
             path.write_text(json.dumps(doc))
             return str(path)
 
-        out = tmp_path / "one_hot.json"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"schema_version": 1, "param": "k", "grid": [1],
+                                    "train": {"epochs": 2}}))
+        out = tmp_path / "out"
         argv = {
             "train": lambda: ["train", "--data", str(bundle_dir),
-                              "--train-config", with_one_hot(train_file), "--out", str(out)],
+                              "--train-config", with_features(train_file), "--out", str(out)],
+            "sweep": lambda: ["sweep", "--spec", with_features(spec, "train"), "--out", str(out)],
             "eval": lambda: ["eval", "--data", str(bundle_dir), "--split", str(split_file),
-                             "--model", with_one_hot(model_file, "train_config")],
+                             "--model", with_features(model_file, "train_config")],
         }[command]()
         code = dispatch(argv)
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "features must be one of ('ones',)" in captured.err
+        assert captured.err == f"error: {pointer}: unknown key 'features'\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("entry", ["x", True, None, [1]])

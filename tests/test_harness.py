@@ -300,6 +300,20 @@ class TestRunSweep:
         assert sizes == [2]
         assert all(point.report is not None for point in result.points)
 
+    def test_a_method_named_twice_is_scored_and_written_once(self):
+        spec = SweepSpec(param="k", grid=(1, 2), base=default_scenario(seed=0, n=30, m=30))
+        split_cfg = SplitConfig(train_fraction=0.2, n_splits=3, seed=0)
+        twice = run_sweep(spec, ["average", "average"], split_cfg)
+        assert [point.report.methods for point in twice.points] == [("average",)] * 2
+        assert twice.to_csv() == run_sweep(spec, ["average"], split_cfg).to_csv()
+
+    def test_repeated_methods_keep_their_first_named_order(self):
+        report = run_experiment(default_scenario(seed=0, n=30, m=30),
+                                ["median", "average", "median", "average"],
+                                SplitConfig(train_fraction=0.2, n_splits=2, seed=0))
+        assert report.methods == ("median", "average")
+        assert list(report.per_split) == list(report.mean) == ["median", "average"]
+
     def test_csv_shape(self):
         base = default_scenario(seed=0, n=30, m=30)
         spec = SweepSpec(param="k", grid=(1, 2), base=base)

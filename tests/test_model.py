@@ -134,9 +134,7 @@ def _backward_without_train_ids():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: TrainConfig(learning_rate=0), "learning_rate must be > 0"),
-    # "ones" is the only input column: the one-hot input is refused in a config,
-    # and a first layer made for a wider input in forward
-    (lambda: TrainConfig(features="one-hot"), "features must be one of ('ones',)"),
+    # the input is one all-ones column: forward refuses a first layer made for a wider one
     (lambda: forward(ModelParams(W=(np.ones((2, 3)),), w_out=np.ones(3), b_out=0.0),
                      _one_grade()),
      "W[0] expects 2 input features, the 'ones' input has 1"),
@@ -689,12 +687,25 @@ class TestCheckpoint:
         assert params.b_out == loaded.b_out
 
     def test_rejects_input_width_other_than_one(self, tmp_path):
-        # weights that fit d0 = 2 load at the parser; the "ones" input is 1 wide
+        # W[0] is read as one row, the width of the all-ones input
         cfg = TrainConfig(epochs=1, layers=1, dim=2)
         params = ModelParams(W=(np.zeros((2, 2)),), w_out=np.zeros(2), b_out=0.0)
         path = tmp_path / "model.json"
         save_model(params, cfg, path)
-        with pytest.raises(SchemaError, match=r"^/d0: 2 input features, the 'ones' input has 1$"):
+        message = "/weights/W/0: 4 weights do not fit shape (1, 2)"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            load_model(path)
+
+    def test_rejects_the_removed_input_width_key(self, tmp_path):
+        import json
+        cfg = TrainConfig(epochs=1, layers=1, dim=2)
+        params = ModelParams(W=(np.zeros((1, 2)),), w_out=np.zeros(2), b_out=0.0)
+        path = tmp_path / "model.json"
+        save_model(params, cfg, path)
+        doc = json.loads(path.read_text())
+        assert "d0" not in doc
+        path.write_text(json.dumps({**doc, "d0": 1}))
+        with pytest.raises(SchemaError, match="^/: unknown key 'd0'$"):
             load_model(path)
 
     def test_rejects_unknown_key(self, tmp_path):

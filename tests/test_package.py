@@ -47,7 +47,13 @@ def test_only_the_schema_module_checks_keys_by_hand():
 
 def test_only_the_model_builds_its_input():
     # The all-ones input is made inside forward, and a pass is read back from its cache.
+    # No option names the input, and a report is written without its timing, never read.
     assert not hasattr(peergrade, "initial_features")
+    assert not hasattr(peergrade.model, "FEATURE_KINDS")
+    assert not any(hasattr(module, name) for module in (peergrade, peergrade.io)
+                   for name in ("write_results", "read_results"))
+    assert list(inspect.signature(peergrade.ExperimentReport.canonical_json).parameters) == [
+        "self"]
     assert list(inspect.signature(peergrade.predict).parameters) == ["params", "prop", "item_ids"]
     assert list(inspect.signature(peergrade.model.backward).parameters) == [
         "cache", "truth", "train_ids"]

@@ -20,7 +20,6 @@ from peergrade import (
     TrainConfig,
     strategic_scenario,
 )
-from peergrade.model import FEATURE_KINDS
 from peergrade.schema import canonical_json, from_doc, to_doc
 
 unit = st.floats(0.0, 1.0)
@@ -51,7 +50,6 @@ trains = st.builds(
     TrainConfig, layers=st.integers(1, 8), dim=counts, epochs=counts,
     learning_rate=st.floats(0.0, 1.0, exclude_min=True), beta1=betas, beta2=betas,
     epsilon=st.floats(0.0, 10.0, exclude_min=True), seed=seeds,
-    features=st.sampled_from(FEATURE_KINDS),
 )
 splits = st.builds(SplitConfig, train_fraction=st.floats(0.0, 1.0, exclude_min=True,
                                                          exclude_max=True),
