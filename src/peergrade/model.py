@@ -28,29 +28,27 @@ from .graph import Dataset, GroundTruth, PropagationMatrix, _item_ids, propagati
 from .schema import document_json, from_doc, read_document, to_doc
 
 
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8  # Adam's, fixed at Kingma & Ba's defaults
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters: 2 layers of width 64, 800 epochs of Adam at lr 0.02."""
+    """Hyperparameters: 2 layers of width 64, 800 epochs of Adam at lr 0.02.
+
+    Adam's beta1, beta2 and epsilon are fixed at 0.9, 0.999 and 1e-8.
+    """
 
     layers: int = 2
     dim: int = 64
     epochs: int = 800
     learning_rate: float = 0.02
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
         if self.layers < 1 or self.dim < 1 or self.epochs < 1:
             raise ValidationError("layers, dim and epochs must all be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValidationError("learning_rate must be > 0")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not self.epsilon > 0:
-            raise ValidationError(f"epsilon must be > 0, got {self.epsilon}")
         if self.seed < 0:
             raise ValidationError(f"seed {self.seed} must be >= 0")
 
@@ -237,12 +235,11 @@ def adam_step(
     """One bias-corrected Adam update, elementwise over the flattened parameters."""
     g = _flat(grads)
     t = state.t + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (g * g)
-    # numpy's power overflows to inf, where a float's raises OverflowError
-    m_hat = m / (1.0 - np.float64(cfg.beta1) ** t)
-    v_hat = v / (1.0 - np.float64(cfg.beta2) ** t)
-    p = _flat(params) - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    m = _BETA1 * state.m + (1.0 - _BETA1) * g
+    v = _BETA2 * state.v + (1.0 - _BETA2) * (g * g)
+    m_hat = m / (1.0 - _BETA1 ** t)
+    v_hat = v / (1.0 - _BETA2 ** t)
+    p = _flat(params) - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
     *flat_W, head = np.split(p, np.cumsum([w.size for w in params.W]))
     W = tuple(w.reshape(old.shape) for w, old in zip(flat_W, params.W))
     return ModelParams(W=W, w_out=head[:-1], b_out=float(head[-1])), AdamState(m=m, v=v, t=t)

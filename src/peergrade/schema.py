@@ -144,16 +144,15 @@ def _read(typ, obj, where: str, base):
             reject_unknown(body, (), where)
             return None
         return from_doc(members[kind], body, where)
-    if origin is tuple and args[-1] is not Ellipsis:
+    if origin is tuple:
         if not isinstance(obj, list) or len(obj) != len(args):
             raise SchemaError(f"{where}: expected a {len(args)}-element list")
         return tuple(_read(t, x, f"{where}/{i}", None) for i, (t, x) in enumerate(zip(args, obj)))
-    if origin in (tuple, list):  # variable length: tuple[T, ...] or list[T]
+    if origin is list:
         if args[0] in (int, float, str) and isinstance(obj, list) \
                 and all(type(x) is args[0] for x in obj):  # leaves that need no conversion
-            return origin(obj)
-        return origin(_read(args[0], x, f"{where}/{i}", None)
-                      for i, x in enumerate(expect(obj, list, where)))
+            return list(obj)
+        return [_read(args[0], x, f"{where}/{i}", None) for i, x in enumerate(expect(obj, list, where))]
     if dataclasses.is_dataclass(typ):
         return from_doc(typ, obj, where, base)
     return expect(obj, typ, where)

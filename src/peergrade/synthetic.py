@@ -37,9 +37,9 @@ class MixtureConfig:
     def __post_init__(self):
         if len(self.pi) != 2 or len(self.mu) != 2 or len(self.sigma) != 2:
             raise ValidationError("mixture config requires exactly two components")
-        if any(p < 0 for p in self.pi) or abs(sum(self.pi) - 1.0) > 1e-12:
+        if any(not p >= 0 for p in self.pi) or not abs(sum(self.pi) - 1.0) <= 1e-12:
             raise ValidationError(f"mixing probabilities {self.pi} must be nonnegative and sum to 1")
-        if any(s < 0 for s in self.sigma):
+        if any(not s >= 0 for s in self.sigma):
             raise ValidationError(f"mixture sigmas {self.sigma} must be nonnegative")
         if any(not 0.0 <= m <= 1.0 for m in self.mu):
             raise ValidationError(f"mixture means {self.mu} must lie in [0, 1]")
@@ -80,7 +80,7 @@ class StrategicConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValidationError("grader count k must be >= 1")
-        if self.sigma_h < 0:
+        if not self.sigma_h >= 0:
             raise ValidationError("sigma_h must be >= 0")
 
 
@@ -103,7 +103,9 @@ class BiasReliabilityConfig:
             raise ValidationError("grader count k must be >= 1")
         if not -1.0 <= self.alpha <= 1.0:
             raise ValidationError(f"bias alpha {self.alpha} must lie in [-1, 1]")
-        if self.sigma_max < 0:
+        if np.isnan(self.beta):
+            raise ValidationError("beta must not be NaN")
+        if not self.sigma_max >= 0:
             raise ValidationError("sigma_max must be >= 0")
 
 

@@ -36,7 +36,7 @@ SCENARIO = {
 }
 TRAIN = {
     "schema_version": 1, "kind": "train-config", "layers": 2, "dim": 2, "epochs": 2,
-    "learning_rate": 0.02, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "seed": 0,
+    "learning_rate": 0.02, "seed": 0,
 }
 SPLIT = {"schema_version": 1, "kind": "split-config", "train_fraction": 0.5, "n_splits": 2,
          "seed": 0}

@@ -134,6 +134,7 @@ def _backward_without_train_ids():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: TrainConfig(learning_rate=0), "learning_rate must be > 0"),
+    (lambda: TrainConfig(learning_rate=float("nan")), "learning_rate must be > 0"),
     # the input is one all-ones column: forward refuses a first layer made for a wider one
     (lambda: forward(ModelParams(W=(np.ones((2, 3)),), w_out=np.ones(3), b_out=0.0),
                      _one_grade()),
@@ -418,15 +419,17 @@ def assert_trains_as_reference(dataset, cfg, prop):
 
 
 def per_tensor_adam(params, grads, moments, t, cfg):
-    """Reference Adam: one update per parameter tensor; ``moments`` is a list of (m, v)."""
+    """Reference Adam at Kingma & Ba's defaults: one update per parameter tensor.
+
+    ``moments`` is a list of (m, v)."""
     tensors = lambda p: [*p.W, p.w_out, np.array([p.b_out])]
     new_p, new_moments = [], []
     for p, g, (m, v) in zip(tensors(params), tensors(grads), moments):
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-        m_hat = m / (1.0 - cfg.beta1 ** t)
-        v_hat = v / (1.0 - cfg.beta2 ** t)
-        new_p.append(p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon))
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * (g * g)
+        m_hat = m / (1.0 - 0.9 ** t)
+        v_hat = v / (1.0 - 0.999 ** t)
+        new_p.append(p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8))
         new_moments.append((m, v))
     k = len(params.W)
     return ModelParams(W=tuple(new_p[:k]), w_out=new_p[k], b_out=float(new_p[k + 1][0])), new_moments

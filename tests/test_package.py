@@ -2,6 +2,7 @@
 
 import inspect
 import types
+from dataclasses import fields
 from pathlib import Path
 
 import peergrade
@@ -43,6 +44,12 @@ def test_only_the_schema_module_checks_keys_by_hand():
                      and "reject_unknown(" in path.read_text(encoding="utf-8"))
     assert callers == []
     assert not hasattr(peergrade.schema, "expect_list")
+
+
+def test_train_config_exports_no_optimizer_internals():
+    # Adam's beta1, beta2 and epsilon are the model's constants, not train options
+    assert [f.name for f in fields(peergrade.TrainConfig)] == [
+        "layers", "dim", "epochs", "learning_rate", "seed"]
 
 
 def test_only_the_model_builds_its_input():

@@ -45,11 +45,9 @@ assessments = st.one_of(
 )
 scenarios = st.builds(ScenarioConfig, n=counts, m=counts, seed=seeds, mixture=mixtures,
                       social=socials, assessment=assessments)
-betas = st.floats(0.0, 1.0, exclude_max=True)
 trains = st.builds(
     TrainConfig, layers=st.integers(1, 8), dim=counts, epochs=counts,
-    learning_rate=st.floats(0.0, 1.0, exclude_min=True), beta1=betas, beta2=betas,
-    epsilon=st.floats(0.0, 10.0, exclude_min=True), seed=seeds,
+    learning_rate=st.floats(0.0, 1.0, exclude_min=True), seed=seeds,
 )
 splits = st.builds(SplitConfig, train_fraction=st.floats(0.0, 1.0, exclude_min=True,
                                                          exclude_max=True),

@@ -42,18 +42,25 @@ def censored_normal_mean(mu, sigma):
     )
 
 
+NAN = float("nan")
 HALF_KNOWN = GroundTruth(np.array([0.5, np.nan]), np.array([True, False]))
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: MixtureConfig(pi=(0.2, 0.3, 0.5), mu=(0.3, 0.5, 0.7), sigma=(0.1, 0.1, 0.1)),
      "mixture config requires exactly two components"),
+    (lambda: MixtureConfig(pi=(0.5, NAN)),
+     "mixing probabilities (0.5, nan) must be nonnegative and sum to 1"),
+    (lambda: MixtureConfig(sigma=(0.1, NAN)), "mixture sigmas (0.1, nan) must be nonnegative"),
     (lambda: ErConfig(p=1.5), "connection probability 1.5 must lie in [0, 1]"),
     (lambda: HomophilyConfig(tau=-0.1), "tau -0.1 must lie in [0, 1]"),
     (lambda: StrategicConfig(k=0), "grader count k must be >= 1"),
     (lambda: StrategicConfig(sigma_h=-0.1), "sigma_h must be >= 0"),
+    (lambda: StrategicConfig(sigma_h=NAN), "sigma_h must be >= 0"),
     (lambda: BiasReliabilityConfig(k=0), "grader count k must be >= 1"),
     (lambda: BiasReliabilityConfig(sigma_max=-0.1), "sigma_max must be >= 0"),
+    (lambda: BiasReliabilityConfig(sigma_max=NAN), "sigma_max must be >= 0"),
+    (lambda: BiasReliabilityConfig(beta=NAN), "beta must not be NaN"),
     (lambda: ScenarioConfig(n=0), "scenario requires n >= 1 and m >= 1"),
     (lambda: gen_ground_truth(0, MixtureConfig(), np.random.default_rng(0)),
      "item count must be >= 1"),
