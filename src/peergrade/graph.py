@@ -160,8 +160,25 @@ def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
 
 
 def _symmetric(a, b, w, n: int) -> sp.csr_matrix:
-    """The (n, n) relation storing each entry ``(a[k], b[k], w[k])`` both ways."""
-    return _csr(np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w]), (n, n))
+    """The (n, n) relation storing each entry ``(a[k], b[k], w[k])`` both ways, indices sorted.
+
+    The ties must be off the diagonal and unique as unordered pairs; they may
+    come in any order and orientation.  Zeros stay stored.  The ties are sorted
+    once, as the upper triangle U, and the lower triangle is U's transpose, a
+    counting pass that needs no sort."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    order = np.argsort(lo * n + hi)  # the keys are unique: any sort gives this order
+    lo, hi, w = lo[order], hi[order], np.asarray(w, dtype=np.float64)[order]
+    U = sp.csr_matrix((w, hi, np.append(0, np.cumsum(np.bincount(lo, minlength=n)))), shape=(n, n))
+    L = U.T.tocsr()  # not U + U.T, which drops stored zeros
+    # Row r of S is L's row r (columns below r) followed by U's row r (columns above).
+    upper = np.repeat(np.tile([False, True], n),
+                      np.column_stack([np.diff(L.indptr), np.diff(U.indptr)]).ravel())
+    indices, data = np.empty(2 * lo.size, dtype=L.indices.dtype), np.empty(2 * lo.size)
+    for out, below, above in ((indices, L.indices, U.indices), (data, L.data, U.data)):
+        out[~upper], out[upper] = below, above
+    return sp.csr_matrix((data, indices, L.indptr + U.indptr), shape=(n, n))
 
 
 class _Coded(NamedTuple):
@@ -377,6 +394,21 @@ class ValidationReport:
         return not self.errors
 
 
+def _symmetric_stored(S: sp.spmatrix) -> bool:
+    """Whether each position of ``S`` is stored as often as its mirror, with an equal sum.
+
+    Sums compare by ``==``: ``-0.0`` equals ``0.0`` and NaN equals nothing, so a
+    0.0 tie stored one way only or a NaN tie is asymmetric."""
+    S = S.tocsr()
+    if S.has_canonical_format:  # sorted, each position once: the transpose must repeat the arrays
+        T = S.T.tocsr()  # a counting pass, its indices sorted
+        return all(map(np.array_equal, (S.indptr, S.indices, S.data), (T.indptr, T.indices, T.data)))
+    # Unsorted or stored twice: the sparse comparisons sum each position's entries.
+    pattern = S.copy()
+    pattern.data[:] = 1
+    return not ((pattern != pattern.T).nnz or (S != S.T).nnz)
+
+
 def validate(graph: SoanGraph) -> ValidationReport:
     """Check structural invariants; isolation is reported but not fatal."""
     errors: list[str] = []
@@ -388,9 +420,7 @@ def validate(graph: SoanGraph) -> ValidationReport:
 
     if np.count_nonzero(graph.S.diagonal()):
         errors.append("S has nonzero diagonal entries (self-friendship)")
-    spat = graph.S.copy()
-    spat.data[:] = 1  # S's pattern: a 0.0 tie stored one way only is asymmetric too
-    if (spat != spat.T).nnz or (graph.S != graph.S.T).nnz:
+    if not _symmetric_stored(graph.S):
         errors.append("S is not symmetric")
 
     if not errors:  # links count stored entries, explicit zeros and duplicates included

@@ -19,7 +19,7 @@ from . import baselines
 from .errors import PeergradeError, ValidationError
 from .graph import Dataset, GroundTruth, Split, _item_ids, propagation_matrix
 from .model import TrainConfig, predict, train
-from .schema import document_json, to_doc
+from .schema import check_integers, document_json, to_doc
 from .synthetic import (
     BiasReliabilityConfig,
     ErConfig,
@@ -46,6 +46,7 @@ class SplitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self)
         if not 0.0 < self.train_fraction < 1.0:
             raise ValidationError(f"train fraction {self.train_fraction} must lie in (0, 1)")
         if self.n_splits < 1:

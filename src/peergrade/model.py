@@ -25,7 +25,7 @@ from scipy.special import expit as sigmoid
 
 from .errors import SchemaError, TrainingDivergedError, ValidationError
 from .graph import Dataset, GroundTruth, PropagationMatrix, _item_ids, propagation_matrix
-from .schema import document_json, from_doc, read_document, to_doc
+from .schema import check_integers, document_json, from_doc, read_document, to_doc
 
 
 _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8  # Adam's, fixed at Kingma & Ba's defaults
@@ -45,6 +45,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self)
         if self.layers < 1 or self.dim < 1 or self.epochs < 1:
             raise ValidationError("layers, dim and epochs must all be >= 1")
         if not self.learning_rate > 0:
@@ -93,6 +94,8 @@ class ForwardCache:
     d_z: list[np.ndarray]         # backward's buffers, shaped as z
     propagated: list[np.ndarray]  # N @ H[l] for l = 0 .. K-1, N[n:] @ H[K-1] last
     item_N: sp.csr_matrix         # N[n:], the rows the last layer computes
+    item_NT: sp.csc_matrix        # item_N.T and N.T, built once for backward: views that
+    NT: sp.csc_matrix             # share N's arrays, and keep CSC's kernel and bits
     predictions: np.ndarray
     params: ModelParams  # the parameters this pass ran with
     prop: PropagationMatrix
@@ -150,7 +153,8 @@ def forward(
         cache = ForwardCache(h=[ones, *buffers()], z=buffers(), d_z=buffers(),
                              propagated=[(prop.N if top else item_N) @ ones,
                                          *map(np.empty, shapes[1:])],
-                             item_N=item_N, predictions=None, params=params, prop=prop)
+                             item_N=item_N, item_NT=item_N.T, NT=prop.N.T,
+                             predictions=None, params=params, prop=prop)
     elif cache.prop is not prop or [z.shape for z in cache.z] != shapes:
         raise ValidationError("forward cache was made for another operator or layer widths")
     # One input column: a broadcast product; + 0.0 turns -0.0 into +0.0, as the GEMM does.
@@ -214,7 +218,7 @@ def backward(cache: ForwardCache, truth: GroundTruth, train_ids: Sequence[int]) 
             # d_z @ W.T borrows the first rows of the lower layer's buffer
             # until N.T (N[n:].T on the last layer) has taken it.
             x = np.matmul(d_z[layer], params.W[layer].T, out=d_z[layer - 1][:len(d_z[layer])])
-            d_h = (cache.item_N if layer == top else prop.N).T @ x
+            d_h = (cache.item_NT if layer == top else cache.NT) @ x
             _elu_grad(cache.z[layer - 1], out=d_z[layer - 1])
             d_z[layer - 1] *= d_h
     return ModelParams(W=tuple(g_W), w_out=g_w_out, b_out=g_b_out)

@@ -10,7 +10,7 @@ tagged by each member's ``KIND`` (``None`` is ``{"kind": "none"}``); a
 checked as ``float`` if that is a member, else as its first member, and kept as
 written.  A wrong key or type is a :class:`SchemaError` naming the JSON pointer
 of the offending value; range checks stay in each dataclass's
-``__post_init__``.
+``__post_init__``, after :func:`check_integers`.
 
 Every document file carries ``"schema_version": 1`` and its ``kind``; that
 envelope is written by :func:`document_json` and checked and stripped by
@@ -23,6 +23,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
@@ -86,6 +87,20 @@ def expect(obj, typ, where: str):
     if not isinstance(obj, typ) or isinstance(obj, bool):
         raise SchemaError(f"{where or '/'}: expected {typ.__name__}, got {type(obj).__name__}")
     return obj
+
+
+def check_integers(cfg) -> None:
+    """Raise a ValidationError naming the first ``int`` field of ``cfg`` that ``operator.index`` refuses.
+
+    A range check such as ``x < 1`` lets NaN through and fails on text with a bare TypeError."""
+    hints = _hints(type(cfg))
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if hints[f.name] is int:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValidationError(f"{f.name} must be an integer, got {value!r}") from None
 
 
 def to_doc(cfg) -> dict:

@@ -24,6 +24,7 @@ import scipy.sparse as sp
 
 from .errors import ValidationError
 from .graph import Dataset, GroundTruth, _csr, _symmetric, from_matrices
+from .schema import check_integers
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,7 @@ class StrategicConfig:
     sigma_h: float = 0.25
 
     def __post_init__(self):
+        check_integers(self)
         if self.k < 1:
             raise ValidationError("grader count k must be >= 1")
         if not self.sigma_h >= 0:
@@ -99,6 +101,7 @@ class BiasReliabilityConfig:
     sigma_max: float = 0.25
 
     def __post_init__(self):
+        check_integers(self)
         if self.k < 1:
             raise ValidationError("grader count k must be >= 1")
         if not -1.0 <= self.alpha <= 1.0:
@@ -125,6 +128,7 @@ class ScenarioConfig:
     assessment: AssessmentConfig = field(default_factory=BiasReliabilityConfig)
 
     def __post_init__(self):
+        check_integers(self)
         if self.n < 1 or self.m < 1:
             raise ValidationError("scenario requires n >= 1 and m >= 1")
         if self.seed < 0:

@@ -24,7 +24,9 @@ from peergrade import (
     validate,
 )
 
-from peergrade.graph import PropagationMatrix, _outside_unit
+from peergrade import graph as graph_module, synthetic
+from peergrade.graph import PropagationMatrix, _csr, _outside_unit, _symmetric
+from peergrade.io import load_dataset, save_dataset
 from peergrade.synthetic import HomophilyConfig, ScenarioConfig, build_scenario, strategic_scenario
 
 from conftest import dense_propagation, random_graph
@@ -297,12 +299,37 @@ def stored(graph: SoanGraph) -> list[bytes]:
             for a in (mat.data, mat.indices, mat.indptr)]
 
 
+def two_users(data, indices, indptr) -> SoanGraph:
+    """Users u0 and u1, each grading item i0 with 0.5, and ``S`` stored as given."""
+    return SoanGraph(n=2, m=1, S=sp.csr_matrix((np.array(data, np.float64), indices, indptr), shape=(2, 2)),
+                     O=sp.csr_matrix((2, 1)), A=sp.csr_matrix(np.full((2, 1), 0.5)),
+                     user_ids=("u0", "u1"), item_ids=("i0",))
+
+
+# S of two users, each case by its verdict: (data, indices, indptr) of the CSR arrays.
+EXPLICIT_S = {
+    "0.0 tie stored one way only": (([0.0], [1], [0, 1, 1]), ["S is not symmetric"]),
+    "NaN tie stored both ways": (([np.nan, np.nan], [1, 0], [0, 1, 2]),
+                                 ["S contains weights outside [0, 1]", "S is not symmetric"]),
+    "0.0 one way, -0.0 the other": (([0.0, -0.0], [1, 0], [0, 1, 2]), []),
+    "stored twice one way, once the other": (([0.25, 0.25, 0.5], [1, 1, 0], [0, 2, 3]),
+                                             ["S is not symmetric"]),
+    "stored twice both ways": (([0.25, 0.5, 0.5, 0.25], [1, 1, 0, 0], [0, 2, 4]), []),
+    "0.0 on the diagonal beside a tie": (([0.0, 0.7, 0.7], [0, 1, 0], [0, 2, 3]), []),
+    "0.0 on the diagonal, stored twice": (([0.0, 0.0], [0, 0], [0, 2, 2]), []),
+    "0.5 on the diagonal": (([0.5], [1], [0, 0, 1]), ["S has nonzero diagonal entries (self-friendship)"]),
+}
+
+
 class TestValidateCountsStoredEntries:
     def test_equals_the_pattern_copy_reference_on_messy_graphs(self):
         rng = np.random.default_rng(19)
+        explicit = {name: two_users(*arrays) for name, (arrays, _) in EXPLICIT_S.items()}
+        for name, (_, errors) in EXPLICIT_S.items():
+            assert reference_validate(explicit[name]).errors == errors, name
         errors = warnings = 0
-        for _ in range(1200):
-            g = messy_graph(rng)
+        canonical = {True: 0, False: 0}  # validate's two ways to check that S is symmetric
+        for g in [*explicit.values(), *(messy_graph(rng) for _ in range(1200))]:
             before = stored(g)
             expected = reference_validate(g)
             assert stored(g) == before
@@ -310,13 +337,72 @@ class TestValidateCountsStoredEntries:
             assert stored(g) == before
             errors += bool(expected.errors)
             warnings += bool(expected.warnings)
+            canonical[g.S.has_canonical_format] += 1
         assert errors > 200 and warnings > 200  # both branches are exercised
+        assert min(canonical.values()) > 200, canonical
 
     def test_explicit_zero_links_count(self):
         # i1's only link and u1's only edge are 0.0 grades; u2 and u3 share only a 0.0 tie.
         g = build_graph([("u1", "i1", 0.0)], social=[("u2", "u3", 0.0)])
         assert g.A.nnz == 1 and g.S.nnz == 2
         assert validate(g) == ValidationReport([], [])
+
+
+# _symmetric before it sorted the ties once and took one transpose, verbatim:
+# the reference for the arrays of the current one.
+def reference_symmetric(a, b, w, n: int) -> sp.csr_matrix:
+    """The (n, n) relation storing each entry ``(a[k], b[k], w[k])`` both ways."""
+    return _csr(np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w]), (n, n))
+
+
+def assert_reference_symmetric(got: sp.csr_matrix, a, b, w, n: int) -> None:
+    want = reference_symmetric(a, b, w, n)
+    for name in ("indptr", "indices", "data"):  # bytes: the dtypes and each sign bit too
+        assert same_bytes(getattr(got, name), getattr(want, name)), name
+    rows = np.repeat(np.arange(n), np.diff(got.indptr))
+    assert np.all(np.diff(rows * n + got.indices) > 0)  # indices sorted, each position once
+
+
+class TestSymmetric:
+    def test_same_arrays_as_the_reference_on_random_ties(self):
+        rng = np.random.default_rng(31)
+        seen = dict.fromkeys(["n = 0", "n = 1", "no ties", "shuffled", "a > b", "0.0", "-0.0"], 0)
+        for _ in range(400):
+            n = int(rng.integers(0, 12))
+            pairs = np.array(list(combinations(range(n), 2)), dtype=np.int64).reshape(-1, 2)
+            pairs = pairs[rng.random(len(pairs)) < rng.choice([0.0, 0.3, 1.0])]
+            if rng.random() < 0.7:
+                pairs = pairs[rng.permutation(len(pairs))]
+            flip = rng.random(len(pairs)) < 0.5
+            a, b = np.where(flip, pairs[:, 1], pairs[:, 0]), np.where(flip, pairs[:, 0], pairs[:, 1])
+            w = np.array([0.0, -0.0, 1.0, 0.3])[rng.integers(4, size=len(pairs))]
+            assert_reference_symmetric(_symmetric(a, b, w, n), a, b, w, n)
+            seen["n = 0"] += n == 0
+            seen["n = 1"] += n == 1
+            seen["no ties"] += n > 1 and not len(pairs)
+            seen["shuffled"] += bool(np.any(np.diff(pairs[:, 0] * n + pairs[:, 1]) < 0))
+            seen["a > b"] += bool(flip.any())
+            seen["0.0"] += bool(np.any((w == 0) & ~np.signbit(w)))
+            seen["-0.0"] += bool(np.any((w == 0) & np.signbit(w)))
+        assert min(seen.values()) >= 20, seen
+
+    def test_same_arrays_as_the_reference_on_each_caller(self, monkeypatch, tmp_path):
+        calls = []
+
+        def recorded(a, b, w, n):
+            calls.append((_symmetric(a, b, w, n), a, b, w, n))
+            return calls[-1][0]
+
+        monkeypatch.setattr(graph_module, "_symmetric", recorded)
+        monkeypatch.setattr(synthetic, "_symmetric", recorded)
+        er = build_scenario(strategic_scenario(seed=1, n=60, m=60, p=0.2))
+        build_scenario(ScenarioConfig(n=60, m=60, seed=2, social=HomophilyConfig(tau=0.05)))
+        save_dataset(er, tmp_path / "bundle")
+        load_dataset(tmp_path / "bundle")
+        build_graph([("u1", "i1", 0.5)], social=[("u3", "u1", 0.0), ("u1", "u2", -0.0), ("u2", "u3", 1.0)])
+        assert [len(a) > 0 for _, a, _, _, _ in calls] == [True] * 4  # ER, homophily, bundle, build_graph
+        for got, a, b, w, n in calls:
+            assert_reference_symmetric(got, a, b, w, n)
 
 
 # propagation_matrix as it was before it assembled N with one _csr call, verbatim:

@@ -247,8 +247,13 @@ class TestForward:
         first = init_params(TrainConfig(layers=3, dim=4), rng)
         second = init_params(TrainConfig(layers=3, dim=4), rng)
         _, cache = forward(first, prop)
-        kept = lambda c: [*c.h, *c.z, *c.d_z, c.propagated[0], c.propagated[-1], c.item_N]
+        kept = lambda c: [*c.h, *c.z, *c.d_z, c.propagated[0], c.propagated[-1], c.item_N,
+                          c.item_NT, c.NT]
         arrays = kept(cache)
+        # backward's transposed operators are CSC views of the forward ones, not copies
+        for view, mat in ((cache.item_NT, cache.item_N), (cache.NT, prop.N)):
+            assert view.format == "csc" and view.shape == mat.shape[::-1]
+            assert all(np.shares_memory(getattr(view, k), getattr(mat, k)) for k in ("data", "indices", "indptr"))
         preds, again = forward(second, prop, cache)
         assert again is cache and again.params is second
         assert all(a is b for a, b in zip(kept(again), arrays))

@@ -1,9 +1,11 @@
 """The dataclass-driven config schema: to_doc/from_doc round trips and pointers."""
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from peergrade import (
     SplitConfig,
     StrategicConfig,
     TrainConfig,
+    ValidationError,
     strategic_scenario,
 )
 from peergrade.schema import canonical_json, from_doc, to_doc
@@ -128,3 +131,19 @@ def test_union_of_leaves_is_checked_as_its_widest_member(doc, message):
 def test_faults_name_their_pointer(doc, pointer):
     with pytest.raises(SchemaError, match=f"^{pointer}: "):
         from_doc(ScenarioConfig, doc)
+
+
+INTEGER_FIELDS = [(TrainConfig, name) for name in ("layers", "dim", "epochs", "seed")] + [
+    (SplitConfig, "n_splits"), (SplitConfig, "seed"), (StrategicConfig, "k"),
+    (BiasReliabilityConfig, "k"), (ScenarioConfig, "n"), (ScenarioConfig, "m"), (ScenarioConfig, "seed")]
+
+
+@pytest.mark.parametrize("cls, name", INTEGER_FIELDS)
+def test_integer_fields_refuse_what_operator_index_refuses(cls, name):
+    # NaN passed the range checks and text failed them with a bare TypeError.
+    for value in (float("nan"), 2.0, np.float64(3.0), "3", None):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            cls(**{name: value})
+    assert getattr(cls(**{name: np.int64(5)}), name) == 5
+    with pytest.raises(SchemaError, match=f"^/{name}: expected int, got float$"):
+        from_doc(cls, {name: 2.0})  # the document path refuses first, with its own message
