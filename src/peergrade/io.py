@@ -15,10 +15,9 @@ import csv
 import io
 import re
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,29 +53,36 @@ ASSESSMENT_HEADER = ["grader_id", "item_id", "grade"]
 OWNERSHIP_HEADER = ["user_id", "item_id", "weight"]
 SOCIAL_HEADER = ["user_a", "user_b", "weight"]
 TRUTH_HEADER = ["item_id", "value"]
+_QUOTED = re.compile('[,"\r\n]')  # all that makes csv.writer's default dialect quote a field
 
 
-def _encoded(ids: Sequence[str]) -> np.ndarray:
-    """Each id as ``csv.writer`` writes it inside a row, in an object array to pick columns from."""
+def _encoded(ids: Sequence) -> list[str]:
+    """Each id taken with ``str()`` as ``csv.writer`` writes it inside a row."""
     writer = csv.writer(SimpleNamespace(write=str))  # writerow returns the row's text
-    return np.array([writer.writerow((s, ""))[:-3] for s in ids], dtype=object)  # minus ",\r\n"
+    return [writer.writerow((s, ""))[:-3] if _QUOTED.search(s) else s  # minus ",\r\n"
+            for s in map(str, ids)]
 
 
-def _numbers(values: np.ndarray) -> Iterable[str]:
-    """Each value as ``f"{v:.17g}"``, each distinct bit pattern formatted once.
+def _numbers(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct texts ``f"{v:.17g}"`` of ``values`` and the code of each value.
 
     Bits, not values, are deduplicated, so that ``-0.0`` stays ``-0``.
     """
-    bits, inverse = np.unique(np.ascontiguousarray(values, np.float64).view(np.int64),
-                              return_inverse=True)
-    texts = [f"{v:.17g}" for v in bits.view(np.float64).tolist()]
-    return map(texts.__getitem__, inverse.tolist())
+    bits, codes = np.unique(np.ascontiguousarray(values, np.float64).view(np.int64),
+                            return_inverse=True)
+    return [f"{v:.17g}" for v in bits.view(np.float64).tolist()], codes
 
 
-def _write_csv(path: Path, header: list[str], *columns: Iterable[str]) -> None:
-    """Write ``header`` and a line per entry of the ``columns``, all ended by ``\r\n``, at once."""
-    lines = chain([",".join(header)], map(",".join, zip(*columns)), [""])
-    path.write_text("\r\n".join(lines), encoding="utf-8", newline="")
+def _write_csv(path: Path, header: list[str], *columns: tuple[Sequence[str], np.ndarray]) -> None:
+    """Write ``header`` and a line per code of the ``(texts, codes)`` columns, joined once.
+
+    Each distinct text takes its separator once, ``\r\n`` in the last column."""
+    width = len(columns)
+    parts = [""] * (width * len(columns[0][1]))
+    for k, (texts, codes) in enumerate(columns):
+        sep = "\r\n" if k == width - 1 else ","
+        parts[k::width] = np.array([text + sep for text in texts], dtype=object)[codes].tolist()
+    path.write_text(",".join(header) + "\r\n" + "".join(parts), encoding="utf-8", newline="")
 
 
 # --- dataset bundles ----------------------------------------------------------
@@ -106,10 +112,10 @@ def save_dataset(dataset: Dataset, path) -> None:
             (out / name).unlink(missing_ok=True)  # else an earlier save's file would be loaded
             continue
         rows, cols, vals = _triples(mat)
-        _write_csv(out / name, header, users[rows].tolist(), col_ids[cols].tolist(), _numbers(vals))
+        _write_csv(out / name, header, (users, rows), (col_ids, cols), _numbers(vals))
 
     known = np.flatnonzero(dataset.truth.mask)
-    _write_csv(out / "truth.csv", TRUTH_HEADER, items[known].tolist(), _numbers(dataset.truth.v[known]))
+    _write_csv(out / "truth.csv", TRUTH_HEADER, (items, known), _numbers(dataset.truth.v[known]))
 
     manifest = to_doc(_Manifest(graph.user_ids, graph.item_ids, graph.n, graph.m))
     (out / "manifest.json").write_text(document_json("dataset-bundle", manifest), encoding="utf-8")

@@ -7,9 +7,11 @@ the same exception class with the same message for the first bad entry.
 """
 
 import csv
+import io
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from peergrade import (
@@ -24,7 +26,13 @@ from peergrade import (
     load_dataset,
     save_dataset,
 )
-from peergrade.io import ASSESSMENT_HEADER, OWNERSHIP_HEADER, SOCIAL_HEADER, TRUTH_HEADER
+from peergrade.io import (
+    ASSESSMENT_HEADER,
+    OWNERSHIP_HEADER,
+    SOCIAL_HEADER,
+    TRUTH_HEADER,
+    _encoded,
+)
 from peergrade.schema import SCHEMA_VERSION, canonical_json, expect, read_document, reject_unknown
 
 
@@ -371,6 +379,60 @@ class TestEqualsPerRowReference:
                                   A=reversed_rows(mat), user_ids=g.user_ids, item_ids=g.item_ids)
                 assert graphs_equal(graph, twin) is equal
                 assert graphs_equal(twin, graph) is equal
+
+
+# Every character that makes csv.writer quote a field, and some that do not:
+# NUL, tab, a leading space, 2-, 3- and 4-byte UTF-8, U+2028 and U+0085.
+EDGE_CHARS = [",", '"', "\r", "\n", "\x00", "\t", " ", "a", "é", "✓", "𝄞", "\u2028", "\u0085"]
+EDGE_IDS = ["", ",", '"', "\r", "\n", "a,b", 'say "hi"', "cr\r\nlf", "nul\x00", "tab\t",
+            "  lead", "é", "✓", "𝄞", "line\u2028sep", "next\u0085line"]
+EDGE_WEIGHTS = [-0.0, 5e-324, 0.0, 1.0]
+
+
+def edge_dataset(case):
+    """A hand-made dataset for each edge of the writer, by name."""
+    if case == "empty":  # header-only assessments.csv and truth.csv, no ownership or social
+        graph = reference_build_graph([], users=["u"], items=["i", "j"])
+        return Dataset(graph=graph, truth=GroundTruth(np.full(2, np.nan), np.zeros(2, bool)))
+    if case == "one row":  # every file one line, every column one distinct text
+        graph = reference_build_graph([("a", "i", 0.5)], [("b", "i", 0.5)], [("a", "b", 0.5)])
+        return Dataset(graph=graph, truth=GroundTruth.full([0.5]))
+    weight = lambda k: EDGE_WEIGHTS[k % len(EDGE_WEIGHTS)]
+    unquoted = [s for s in EDGE_IDS if not set(s) & set(',"\r\n')]
+    users, items = {"odd ids": (EDGE_IDS, EDGE_IDS),
+                    "prefixed ids": ([f"u{s}" for s in EDGE_IDS], [f"i{s}" for s in EDGE_IDS]),
+                    "unquoted ids": (unquoted, unquoted)}[case]
+    assessments = [(u, items[(k + j) % len(items)], weight(k + j))
+                   for k, u in enumerate(users) for j in range(3)]
+    ownerships = [(u, i, weight(k)) for k, (u, i) in enumerate(zip(users, items))]
+    social = [(a, b, weight(k)) for k, (a, b) in enumerate(zip(users, users[1:] + users[:1]))]
+    graph = reference_build_graph(assessments, ownerships, social)
+    known = np.arange(graph.m) % 5 != 4
+    v = np.where(known, [weight(k) for k in range(graph.m)], np.nan)
+    return Dataset(graph=graph, truth=GroundTruth(v, known))
+
+
+class TestWriterEdges:
+    @pytest.mark.parametrize("case", ["empty", "one row", "odd ids", "prefixed ids", "unquoted ids"])
+    def test_bytes_equal_per_row_reference(self, tmp_path, case):
+        dataset = edge_dataset(case)
+        reference_save_dataset(dataset, tmp_path / "ref")
+        save_dataset(dataset, tmp_path / "new")
+        assert tree_bytes(tmp_path / "new") == tree_bytes(tmp_path / "ref")
+        assert dataset_bytes(load_dataset(tmp_path / "new")) == dataset_bytes(dataset)
+
+    def test_encoded_ids_are_what_csv_writer_writes(self):
+        rng = np.random.default_rng(18)
+        lengths = rng.integers(0, 7, 100_000)
+        chars = iter(rng.choice(EDGE_CHARS, int(lengths.sum())).tolist())
+        ids = ["".join(next(chars) for _ in range(k)) for k in lengths.tolist()]
+        # Numbers and bools, whose csv.writer text is their str().
+        ids += [0, -7, 2**70, 1.5, -0.0, 5e-324, 1e300, float("inf"), float("nan"), True, False]
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows([s, "x"] for s in ids)
+        assert "".join(f"{text},x\r\n" for text in _encoded(ids)) == buf.getvalue()
+        assert _encoded(ids[-11:]) == list(map(str, ids[-11:]))
+        assert _encoded([None]) == ["None"]  # csv.writer writes None as an empty field
 
 
 def reversed_rows(mat):
