@@ -10,8 +10,8 @@ three weighted relations stored sparsely,
 A grade of exactly 0 is meaningful (the item *was* graded, with zero) and is
 kept as an explicit stored entry, distinct from a structurally absent entry
 (no assessment at all).  Degree normalization counts distinct stored
-positions: a position stored twice is one entry whose weights are summed, and
-an explicit zero contributes to a node's degree but not to the weighted sums.
+positions, and an explicit zero contributes to a node's degree but not to the
+weighted sums.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ class SoanGraph:
     preserved.  ``user_ids[i]`` / ``item_ids[j]`` give the external string
     identifier of row ``i`` / column ``j``.  Building one checks the sizes:
     ``n`` and ``m`` count the ids, ``S`` is n x n, ``O`` and ``A`` are n x m.
+    It then refuses a relation that stores a position twice and any entry on
+    ``S``'s diagonal, a stored 0.0 included, and holds a relation whose
+    indices are unsorted as a sorted copy.
     """
 
     n: int
@@ -54,6 +57,23 @@ class SoanGraph:
         if self.S.shape != (n, n) or self.O.shape != (n, m) or self.A.shape != (n, m):
             raise ValidationError(f"relation shapes {self.S.shape}, {self.O.shape}, "
                                   f"{self.A.shape} disagree with n={n}, m={m}")
+        for name, col_ids in (("S", self.user_ids), ("O", self.item_ids), ("A", self.item_ids)):
+            mat = sp.csr_matrix(getattr(self, name))
+            if not mat.has_canonical_format:
+                mat = mat.sorted_indices()  # a copy: the caller's arrays keep their order
+            if not mat.has_canonical_format:  # sorted, so a position is stored twice
+                starts = np.zeros(mat.nnz + 1, dtype=bool)
+                starts[mat.indptr] = True
+                # Entry k repeats entry k - 1 iff it has the same column and starts no row.
+                k = np.argmax((mat.indices[1:] == mat.indices[:-1]) & ~starts[1:-1]) + 1
+                row, col = np.searchsorted(mat.indptr, k, side="right") - 1, mat.indices[k]
+                raise ValidationError(f"{name} stores entry {(self.user_ids[row], col_ids[col])!r} twice")
+            object.__setattr__(self, name, mat)
+        S = self.S
+        # The diagonal of S's pattern as bools: a stored 0.0 counts, and no int64 row array is made.
+        on_diagonal = sp.csr_matrix((np.ones(S.nnz, bool), S.indices, S.indptr), shape=S.shape).diagonal()
+        _raise_first((on_diagonal, lambda r: ValidationError(
+            f"S stores entry {(self.user_ids[r],) * 2!r} on its diagonal")))
 
 
 @dataclass(frozen=True)
@@ -280,13 +300,14 @@ def build_graph(
     ownerships, then social ties.
 
     ``users`` / ``items`` may declare identifiers that appear in no edge.
-    Triples are taken as columns first (ids by ``str``, weights by ``float``),
-    so a weight that ``float`` rejects raises before any entry is checked.
+    Every id is taken with ``str``.  Triples are taken as columns first (ids
+    by ``str``, weights by ``float``), so a weight that ``float`` rejects
+    raises before any entry is checked.
     """
     assess, own, ties = map(_as_columns, (assessments, ownerships, social))
-    uidx, user_ids = _index_map({*users, *assess.first.names, *own.first.names,
+    uidx, user_ids = _index_map({*map(str, users), *assess.first.names, *own.first.names,
                                  *ties.first.names, *ties.second.names})
-    iidx, item_ids = _index_map({*items, *assess.second.names, *own.second.names})
+    iidx, item_ids = _index_map({*map(str, items), *assess.second.names, *own.second.names})
     n, m = len(user_ids), len(item_ids)
 
     def bipartite(kind, rel):
@@ -325,38 +346,18 @@ def from_matrices(
     user_ids: Sequence[str],
     item_ids: Sequence[str],
 ) -> SoanGraph:
-    """Wrap already-built sparse relations, enforcing the graph invariants.
+    """Wrap copies of already-built sparse relations, enforcing the graph invariants.
 
-    No two user ids, and no two item ids, may share a ``str()``, and no relation
-    may store an entry twice: their bundle would not load.  ``S`` stores nothing
-    on its diagonal, not even a 0.0, which its bundle (upper triangle) would drop."""
+    No two user ids, and no two item ids, may share a ``str()``: their bundle
+    would not load.  The graph's own checks refuse a position stored twice and
+    any entry on ``S``'s diagonal, and :func:`validate`'s errors are raised."""
     for name, ids in (("user_ids", user_ids), ("item_ids", item_ids)):
         keys = list(map(str, ids))
         _raise_first((_repeated(np.array(keys, dtype=object)), lambda k: ValidationError(
             f"{name}[{k}] {ids[k]!r} repeats {name}[{keys.index(keys[k])}]")))
-    S = sp.csr_matrix(S, copy=True)
-    O = sp.csr_matrix(O, copy=True)
-    A = sp.csr_matrix(A, copy=True)
-    for mat in (S, O, A):
-        mat.sort_indices()
-    graph = SoanGraph(n=len(user_ids), m=len(item_ids), S=S, O=O, A=A,
+    graph = SoanGraph(n=len(user_ids), m=len(item_ids), S=sp.csr_matrix(S, copy=True),
+                      O=sp.csr_matrix(O, copy=True), A=sp.csr_matrix(A, copy=True),
                       user_ids=tuple(user_ids), item_ids=tuple(item_ids))
-    for name, mat, col_ids in (("S", S, graph.user_ids), ("O", O, graph.item_ids),
-                               ("A", A, graph.item_ids)):
-        starts = np.zeros(mat.nnz + 1, dtype=bool)
-        starts[mat.indptr] = True
-        # Indices sorted: entry k repeats entry k - 1 iff it has the same column and starts no row.
-        twice = np.flatnonzero((mat.indices[1:] == mat.indices[:-1]) & ~starts[1:-1]) + 1
-        if twice.size:
-            k = twice[0]
-            row = np.searchsorted(mat.indptr, k, side="right") - 1
-            raise ValidationError(
-                f"{name} stores entry {(graph.user_ids[row], col_ids[mat.indices[k]])!r} twice")
-    rows = np.repeat(np.arange(graph.n), np.diff(S.indptr))
-    on_diagonal = np.flatnonzero(S.indices == rows)
-    if on_diagonal.size:
-        user = graph.user_ids[rows[on_diagonal[0]]]
-        raise ValidationError(f"S stores entry {(user, user)!r} on its diagonal")
     report = validate(graph)
     if not report.ok:
         raise ValidationError("; ".join(report.errors))
@@ -368,9 +369,8 @@ def propagation_matrix(graph: SoanGraph) -> PropagationMatrix:
 
     The combined matrix is ``[[S, P], [P^T, 0]] + I`` with ``P = O + A``, and
     every row is divided by its count of distinct stored positions.  A position
-    given twice (a user who both owns and assesses an item, a 0.0 stored on
-    ``S``'s diagonal beside the self-loop, or an entry a relation stores twice)
-    is one entry holding the sum of its weights.
+    given twice (a user who both owns and assesses an item) is one entry
+    holding the sum of its weights.
     """
     n, m, size = graph.n, graph.m, graph.n + graph.m
     s, o, a = graph.S.tocoo(), graph.O.tocoo(), graph.A.tocoo()
@@ -394,21 +394,6 @@ class ValidationReport:
         return not self.errors
 
 
-def _symmetric_stored(S: sp.spmatrix) -> bool:
-    """Whether each position of ``S`` is stored as often as its mirror, with an equal sum.
-
-    Sums compare by ``==``: ``-0.0`` equals ``0.0`` and NaN equals nothing, so a
-    0.0 tie stored one way only or a NaN tie is asymmetric."""
-    S = S.tocsr()
-    if S.has_canonical_format:  # sorted, each position once: the transpose must repeat the arrays
-        T = S.T.tocsr()  # a counting pass, its indices sorted
-        return all(map(np.array_equal, (S.indptr, S.indices, S.data), (T.indptr, T.indices, T.data)))
-    # Unsorted or stored twice: the sparse comparisons sum each position's entries.
-    pattern = S.copy()
-    pattern.data[:] = 1
-    return not ((pattern != pattern.T).nnz or (S != S.T).nnz)
-
-
 def validate(graph: SoanGraph) -> ValidationReport:
     """Check structural invariants; isolation is reported but not fatal."""
     errors: list[str] = []
@@ -418,12 +403,14 @@ def validate(graph: SoanGraph) -> ValidationReport:
         if _outside_unit(mat.data).any():
             errors.append(f"{name} contains weights outside [0, 1]")
 
-    if np.count_nonzero(graph.S.diagonal()):
-        errors.append("S has nonzero diagonal entries (self-friendship)")
-    if not _symmetric_stored(graph.S):
+    # S is canonical, so it is symmetric iff its transpose (a counting pass,
+    # indices sorted) repeats its arrays.  Weights compare by ``==``: ``-0.0``
+    # equals ``0.0`` and NaN equals nothing, so a NaN tie is asymmetric.
+    S, T = graph.S, graph.S.T.tocsr()
+    if not all(map(np.array_equal, (S.indptr, S.indices, S.data), (T.indptr, T.indices, T.data))):
         errors.append("S is not symmetric")
 
-    if not errors:  # links count stored entries, explicit zeros and duplicates included
+    if not errors:  # links count stored entries, explicit zeros included
         item_links = graph.O.getnnz(axis=0) + graph.A.getnnz(axis=0)
         for j in np.nonzero(item_links == 0)[0]:
             warnings.append(f"item {graph.item_ids[j]!r} has no assessments and no owners")
@@ -432,13 +419,6 @@ def validate(graph: SoanGraph) -> ValidationReport:
             warnings.append(f"user {graph.user_ids[u]!r} has no edges")
 
     return ValidationReport(errors, warnings)
-
-
-def _triples(mat: sp.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (row, col, data) entries of ``mat`` in row-major order, duplicates as stored."""
-    coo = mat.tocoo()
-    order = np.argsort(coo.row.astype(np.int64) * mat.shape[1] + coo.col, kind="stable")
-    return coo.row[order], coo.col[order], coo.data[order]
 
 
 def _same_values(a: np.ndarray, b: np.ndarray) -> bool:
@@ -451,9 +431,8 @@ def graphs_equal(a: SoanGraph, b: SoanGraph) -> bool:
     if (a.n, a.m, a.user_ids, a.item_ids) != (b.n, b.m, b.user_ids, b.item_ids):
         return False
     for ma, mb in ((a.S, b.S), (a.O, b.O), (a.A, b.A)):
-        ra, ca, va = _triples(ma)
-        rb, cb, vb = _triples(mb)
-        if not (np.array_equal(ra, rb) and np.array_equal(ca, cb) and _same_values(va, vb)):
+        if not (np.array_equal(ma.indptr, mb.indptr) and np.array_equal(ma.indices, mb.indices)
+                and _same_values(ma.data, mb.data)):
             return False
     return True
 

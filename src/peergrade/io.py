@@ -33,7 +33,6 @@ from .graph import (
     _outside_unit,
     _raise_first,
     _repeated,
-    _triples,
     build_graph,
 )
 from .harness import METHOD_AVERAGE, METHOD_GCN, SplitConfig, SweepSpec
@@ -111,8 +110,8 @@ def save_dataset(dataset: Dataset, path) -> None:
         if not mat.nnz and name != "assessments.csv":
             (out / name).unlink(missing_ok=True)  # else an earlier save's file would be loaded
             continue
-        rows, cols, vals = _triples(mat)
-        _write_csv(out / name, header, (users, rows), (col_ids, cols), _numbers(vals))
+        coo = mat.tocoo()  # row-major, as the relations are canonical
+        _write_csv(out / name, header, (users, coo.row), (col_ids, coo.col), _numbers(coo.data))
 
     known = np.flatnonzero(dataset.truth.mask)
     _write_csv(out / "truth.csv", TRUTH_HEADER, (items, known), _numbers(dataset.truth.v[known]))

@@ -27,7 +27,13 @@ from peergrade import (
 from peergrade import graph as graph_module, synthetic
 from peergrade.graph import PropagationMatrix, _csr, _outside_unit, _symmetric
 from peergrade.io import load_dataset, save_dataset
-from peergrade.synthetic import HomophilyConfig, ScenarioConfig, build_scenario, strategic_scenario
+from peergrade.synthetic import (
+    BiasReliabilityConfig,
+    HomophilyConfig,
+    ScenarioConfig,
+    build_scenario,
+    strategic_scenario,
+)
 
 from conftest import dense_propagation, random_graph
 
@@ -43,6 +49,16 @@ class TestBuildGraph:
         g = build_graph([], users=["u1"], items=["i1"])
         assert (g.n, g.m) == (1, 1)
         assert g.A.nnz == 0 and g.O.nnz == 0 and g.S.nnz == 0
+
+    def test_declared_ids_are_taken_with_str(self, tmp_path):
+        # As the edges' ids are: an int id neither escapes as a TypeError nor survives a bundle.
+        assert build_graph([("u1", "i1", 0.5)], users=[1]).user_ids == ("1", "u1")
+        assert build_graph([("u1", "i1", 0.5)], users=[1, "1"], items=[2]).item_ids == ("2", "i1")
+        g = build_graph([], users=[3], items=["i"])
+        assert g.user_ids == ("3",)
+        dataset = Dataset(graph=g, truth=GroundTruth(np.full(1, np.nan), np.zeros(1, bool)))
+        save_dataset(dataset, tmp_path / "bundle")
+        assert datasets_equal(load_dataset(tmp_path / "bundle"), dataset)
 
     def test_duplicate_assessment_rejected(self):
         with pytest.raises(DuplicateEntryError):
@@ -210,11 +226,11 @@ class TestValidate:
         assert validate(broken).errors == ["A contains weights outside [0, 1]"]
 
     def test_nonzero_social_diagonal_is_fatal(self):
+        # Refused when the graph is built, so validate never sees it.
         g = build_graph([("u1", "i1", 0.8), ("u2", "i1", 0.6)])
         bad_S = sp.csr_matrix(np.diag([0.5, 0.0]))
-        broken = SoanGraph(n=2, m=1, S=bad_S, O=g.O, A=g.A,
-                           user_ids=g.user_ids, item_ids=g.item_ids)
-        assert not validate(broken).ok
+        with pytest.raises(ValidationError, match=r"^S stores entry \('u1', 'u1'\) on its diagonal$"):
+            SoanGraph(n=2, m=1, S=bad_S, O=g.O, A=g.A, user_ids=g.user_ids, item_ids=g.item_ids)
 
 
 # The pattern-copy validate of an earlier version, verbatim: the reference
@@ -267,57 +283,80 @@ def raw_csr(rng, entries, shape):
                           indptr.astype(np.int32)), shape=shape)
 
 
-def messy_graph(rng) -> SoanGraph:
-    """Unsorted rows, duplicates, +-0.0, NaN, out-of-range weights, diagonals, asymmetric S."""
+def messy_graph(rng) -> dict:
+    """The fields of a SoanGraph with unsorted rows, duplicates, +-0.0, NaN,
+    out-of-range weights, diagonals and an asymmetric S: some are refused."""
     n, m = (int(k) for k in rng.integers(1, 7, size=2))
     pool = [0.0, -0.0, 0.25, 0.5, 1.0, 0.0, 0.7, np.nan, 1.5, -0.25]
     weight = lambda: pool[rng.integers(7) if rng.random() < 0.97 else rng.integers(len(pool))]
-    ties = []
+    ties, pairs = [], set()
     for _ in range(int(rng.integers(0, n + 2))):
         a, b = (int(k) for k in rng.integers(n, size=2))
         w = weight()
-        if a == b and rng.random() < 0.8:
+        if a == b and rng.random() < 0.9 or (min(a, b), max(a, b)) in pairs:
             continue
+        pairs.add((min(a, b), max(a, b)))
         ties.append((a, b, w))
-        if rng.random() < 0.9:
-            ties.append((b, a, w if rng.random() < 0.95 else weight()))
-        if rng.random() < 0.1:
+        if rng.random() < 0.85:
+            ties.append((b, a, w if rng.random() < 0.9 else weight()))
+        if rng.random() < 0.03:
             ties += ties[-2:]  # a duplicate, mirrored or not
-    bipartite = [[(int(rng.integers(n)), int(rng.integers(m)), weight())
-                  for _ in range(int(rng.integers(0, n + m)))] for _ in "OA"]
+    bipartite = [[(int(c) // m, int(c) % m, weight()) for c in
+                  rng.choice(n * m, size=min(int(rng.integers(0, n + m)), n * m), replace=False)]
+                 for _ in "OA"]
     for rel in bipartite:
-        if rel and rng.random() < 0.2:
+        if rel and rng.random() < 0.1:
             rel.append(rel[int(rng.integers(len(rel)))])
-    return SoanGraph(n=n, m=m, S=raw_csr(rng, ties, (n, n)),
-                     O=raw_csr(rng, bipartite[0], (n, m)), A=raw_csr(rng, bipartite[1], (n, m)),
-                     user_ids=tuple(f"u{i}" for i in range(n)),
-                     item_ids=tuple(f"i{j}" for j in range(m)))
+    return dict(n=n, m=m, S=raw_csr(rng, ties, (n, n)),
+                O=raw_csr(rng, bipartite[0], (n, m)), A=raw_csr(rng, bipartite[1], (n, m)),
+                user_ids=tuple(f"u{i}" for i in range(n)),
+                item_ids=tuple(f"i{j}" for j in range(m)))
 
 
-def stored(graph: SoanGraph) -> list[bytes]:
-    return [a.tobytes() for mat in (graph.S, graph.O, graph.A)
-            for a in (mat.data, mat.indices, mat.indptr)]
+def reference_refusal(n, m, S, O, A, user_ids, item_ids) -> str | None:
+    """The error that building a SoanGraph of these fields raises, by a loop over
+    sorted positions: the first position stored twice, in S, O, then A, else
+    S's first diagonal entry; None for fields it accepts."""
+    for name, mat, col_ids in (("S", S, user_ids), ("O", O, item_ids), ("A", A, item_ids)):
+        coo = mat.tocoo()
+        positions = sorted(zip(coo.row.tolist(), coo.col.tolist()))
+        for (row, col), before in zip(positions[1:], positions):
+            if (row, col) == before:
+                return f"{name} stores entry {(user_ids[row], col_ids[col])!r} twice"
+    coo = S.tocoo()
+    for row, col in sorted(zip(coo.row.tolist(), coo.col.tolist())):
+        if row == col:
+            return f"S stores entry {(user_ids[row], user_ids[row])!r} on its diagonal"
+    return None
 
 
-def two_users(data, indices, indptr) -> SoanGraph:
-    """Users u0 and u1, each grading item i0 with 0.5, and ``S`` stored as given."""
-    return SoanGraph(n=2, m=1, S=sp.csr_matrix((np.array(data, np.float64), indices, indptr), shape=(2, 2)),
-                     O=sp.csr_matrix((2, 1)), A=sp.csr_matrix(np.full((2, 1), 0.5)),
-                     user_ids=("u0", "u1"), item_ids=("i0",))
+def stored(*mats) -> list[bytes]:
+    return [a.tobytes() for mat in mats for a in (mat.data, mat.indices, mat.indptr)]
 
 
-# S of two users, each case by its verdict: (data, indices, indptr) of the CSR arrays.
+def two_users(data, indices, indptr) -> dict:
+    """The fields of users u0 and u1, each grading item i0 with 0.5, and ``S`` stored as given."""
+    return dict(n=2, m=1, S=sp.csr_matrix((np.array(data, np.float64), indices, indptr), shape=(2, 2)),
+                O=sp.csr_matrix((2, 1)), A=sp.csr_matrix(np.full((2, 1), 0.5)),
+                user_ids=("u0", "u1"), item_ids=("i0",))
+
+
+# S of two users, each case by its verdict: (data, indices, indptr) of the CSR arrays,
+# and validate's errors or, for a graph refused when built, the error it raises.
 EXPLICIT_S = {
     "0.0 tie stored one way only": (([0.0], [1], [0, 1, 1]), ["S is not symmetric"]),
     "NaN tie stored both ways": (([np.nan, np.nan], [1, 0], [0, 1, 2]),
                                  ["S contains weights outside [0, 1]", "S is not symmetric"]),
     "0.0 one way, -0.0 the other": (([0.0, -0.0], [1, 0], [0, 1, 2]), []),
     "stored twice one way, once the other": (([0.25, 0.25, 0.5], [1, 1, 0], [0, 2, 3]),
-                                             ["S is not symmetric"]),
-    "stored twice both ways": (([0.25, 0.5, 0.5, 0.25], [1, 1, 0, 0], [0, 2, 4]), []),
-    "0.0 on the diagonal beside a tie": (([0.0, 0.7, 0.7], [0, 1, 0], [0, 2, 3]), []),
-    "0.0 on the diagonal, stored twice": (([0.0, 0.0], [0, 0], [0, 2, 2]), []),
-    "0.5 on the diagonal": (([0.5], [1], [0, 0, 1]), ["S has nonzero diagonal entries (self-friendship)"]),
+                                             "S stores entry ('u0', 'u1') twice"),
+    "stored twice both ways": (([0.25, 0.5, 0.5, 0.25], [1, 1, 0, 0], [0, 2, 4]),
+                               "S stores entry ('u0', 'u1') twice"),
+    "0.0 on the diagonal beside a tie": (([0.0, 0.7, 0.7], [0, 1, 0], [0, 2, 3]),
+                                         "S stores entry ('u0', 'u0') on its diagonal"),
+    "0.0 on the diagonal, stored twice": (([0.0, 0.0], [0, 0], [0, 2, 2]),
+                                          "S stores entry ('u0', 'u0') twice"),
+    "0.5 on the diagonal": (([0.5], [1], [0, 0, 1]), "S stores entry ('u1', 'u1') on its diagonal"),
 }
 
 
@@ -325,21 +364,31 @@ class TestValidateCountsStoredEntries:
     def test_equals_the_pattern_copy_reference_on_messy_graphs(self):
         rng = np.random.default_rng(19)
         explicit = {name: two_users(*arrays) for name, (arrays, _) in EXPLICIT_S.items()}
-        for name, (_, errors) in EXPLICIT_S.items():
-            assert reference_validate(explicit[name]).errors == errors, name
-        errors = warnings = 0
-        canonical = {True: 0, False: 0}  # validate's two ways to check that S is symmetric
-        for g in [*explicit.values(), *(messy_graph(rng) for _ in range(1200))]:
-            before = stored(g)
+        for name, (_, verdict) in EXPLICIT_S.items():
+            if isinstance(verdict, str):
+                assert reference_refusal(**explicit[name]) == verdict, name
+            else:
+                assert reference_validate(SoanGraph(**explicit[name])).errors == verdict, name
+        errors = warnings = refused = unsorted = 0
+        for fields in [*explicit.values(), *(messy_graph(rng) for _ in range(1200))]:
+            given = stored(fields["S"], fields["O"], fields["A"])
+            refusal = reference_refusal(**fields)
+            if refusal is not None:
+                with pytest.raises(ValidationError, match=f"^{re.escape(refusal)}$"):
+                    SoanGraph(**fields)
+                refused += 1
+                continue
+            g = SoanGraph(**fields)
+            assert stored(fields["S"], fields["O"], fields["A"]) == given
+            before = stored(g.S, g.O, g.A)
             expected = reference_validate(g)
-            assert stored(g) == before
             assert validate(g) == expected
-            assert stored(g) == before
+            assert stored(g.S, g.O, g.A) == before
             errors += bool(expected.errors)
             warnings += bool(expected.warnings)
-            canonical[g.S.has_canonical_format] += 1
+            unsorted += not all(fields[name].has_sorted_indices for name in "SOA")
         assert errors > 200 and warnings > 200  # both branches are exercised
-        assert min(canonical.values()) > 200, canonical
+        assert refused >= 200 and unsorted >= 200, (refused, unsorted)
 
     def test_explicit_zero_links_count(self):
         # i1's only link and u1's only edge are 0.0 grades; u2 and u3 share only a 0.0 tie.
@@ -483,34 +532,38 @@ class TestPropagationReference:
         assert min(seen.values()) >= 30, seen
 
 
-def stores_twice(mat: sp.csr_matrix) -> bool:
-    return mat.nnz > mat.tocoo().tocsr().nnz  # tocsr sums what is stored twice
-
-
 class TestPositionsStoredTwice:
     def test_each_position_counts_once_as_in_the_dense_oracle(self):
         rng = np.random.default_rng(29)
-        twice = {"S": 0, "O": 0, "A": 0, "S diagonal": 0}
+        seen = {"refused": 0, "unsorted": 0, "owned and graded": 0}
         for _ in range(1200):
-            g = messy_graph(rng)
+            fields = messy_graph(rng)
+            if reference_refusal(**fields) is not None:
+                seen["refused"] += 1
+                continue
+            g = SoanGraph(**fields)
             if any(_outside_unit(mat.data).any() for mat in (g.S, g.O, g.A)):
                 continue
             prop = propagation_matrix(g)
             N_ref, deg_ref = dense_propagation(g)
             np.testing.assert_allclose(prop.N.toarray(), N_ref, atol=1e-15)
             np.testing.assert_array_equal(prop.degrees, deg_ref)
-            for name in "SOA":
-                twice[name] += stores_twice(getattr(g, name))
-            ties = g.S.tocoo()
-            twice["S diagonal"] += bool(np.any(ties.row == ties.col))
-        assert min(twice.values()) >= 100, twice
+            seen["unsorted"] += not all(fields[name].has_sorted_indices for name in "SOA")
+            seen["owned and graded"] += bool(g.O.multiply(g.A.astype(bool)).nnz)
+        assert min(seen.values()) >= 100, seen
 
     def test_hand_example(self):
-        # S stores (u0, u1) and (u1, u0) twice each, A stores (u0, i0) twice.
+        # S stores (u0, u1) and (u1, u0) twice each, A stores (u0, i0) twice: both are refused.
         S = raw_csr(np.random.default_rng(0), [(0, 1, 0.5), (1, 0, 0.5)] * 2, (2, 2))
         A = raw_csr(np.random.default_rng(0), [(0, 0, 0.25)] * 2, (2, 1))
-        g = SoanGraph(n=2, m=1, S=S, O=sp.csr_matrix((2, 1)), A=A,
-                      user_ids=("u0", "u1"), item_ids=("i0",))
+        fields = dict(n=2, m=1, S=S, O=sp.csr_matrix((2, 1)), A=A, user_ids=("u0", "u1"), item_ids=("i0",))
+        with pytest.raises(ValidationError, match=r"^S stores entry \('u0', 'u1'\) twice$"):
+            SoanGraph(**fields)
+        with pytest.raises(ValidationError, match=r"^A stores entry \('u0', 'i0'\) twice$"):
+            SoanGraph(**{**fields, "S": sp.csr_matrix((2, 2))})
+        # Each position stored once with the sum of its weights: the operator the sums give.
+        g = SoanGraph(**{**fields, "S": sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]]),
+                         "A": sp.csr_matrix([[0.5], [0.0]])})
         prop = propagation_matrix(g)
         np.testing.assert_array_equal(prop.degrees, [3, 2, 2])
         np.testing.assert_allclose(prop.N.toarray(), [[1 / 3, 1 / 3, 1 / 6],
@@ -529,6 +582,58 @@ def split_check_loop(graph, truth, split):
                 raise ValidationError(f"split references unknown item index {i}")
             if not truth.mask[i]:
                 raise ValidationError(f"split item {i} has no known ground-truth value")
+
+
+def shuffled_rows(rng, mat: sp.csr_matrix) -> sp.csr_matrix:
+    """The entries of ``mat`` in a random order inside each row."""
+    coo = mat.tocoo()
+    return raw_csr(rng, list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())), mat.shape)
+
+
+def assert_canonical(graph: SoanGraph) -> None:
+    """Each relation a CSR matrix with sorted indices, each position once, and no S diagonal,
+    read from the arrays as well as from scipy's flag."""
+    for mat in (graph.S, graph.O, graph.A):
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        assert isinstance(mat, sp.csr_matrix) and mat.has_canonical_format
+        assert np.all(np.diff(rows * mat.shape[1] + mat.indices) > 0)
+    assert not np.any(np.repeat(np.arange(graph.n), np.diff(graph.S.indptr)) == graph.S.indices)
+
+
+class TestCanonicalRelations:
+    def test_every_graph_the_package_builds_is_canonical(self, tmp_path):
+        rng = np.random.default_rng(31)
+        built = [canonical_graph(rng) for _ in range(100)]
+        built += [from_matrices(*(shuffled_rows(rng, mat) for mat in (g.S, g.O, g.A)),
+                                g.user_ids, g.item_ids) for g in built[:50]]
+        er = strategic_scenario(seed=4, n=60, m=60, p=0.1)
+        datasets = [build_scenario(cfg) for cfg in (
+            ScenarioConfig(n=60, m=60, seed=4),  # default: bias-reliability, no social ties
+            er,
+            replace(er, social=HomophilyConfig(tau=0.2)),
+            replace(er, assessment=BiasReliabilityConfig(k=4, alpha=0.1, beta=0.5)))]
+        for k, dataset in enumerate(datasets):
+            save_dataset(dataset, tmp_path / f"b{k}")
+            loaded = load_dataset(tmp_path / f"b{k}")
+            assert datasets_equal(loaded, dataset)
+            built += [dataset.graph, loaded.graph]
+        assert all(g.S.nnz for g in built[-6:])  # the three social scenarios store ties
+        for g in built:
+            assert_canonical(g)
+
+    def test_an_unsorted_relation_is_held_sorted(self):
+        rng = np.random.default_rng(37)
+        unsorted = 0
+        for _ in range(100):
+            g = canonical_graph(rng)
+            mats = [shuffled_rows(rng, mat) for mat in (g.S, g.O, g.A)]
+            given = stored(*mats)
+            held = SoanGraph(g.n, g.m, *mats, g.user_ids, g.item_ids)
+            assert stored(*mats) == given  # sorted in a copy, never in place
+            assert stored(held.S, held.O, held.A) == stored(g.S, g.O, g.A)
+            assert_canonical(held)
+            unsorted += not all(mat.has_sorted_indices for mat in mats)
+        assert unsorted >= 50, unsorted
 
 
 class TestDomainTypes:
@@ -644,6 +749,8 @@ class TestDomainTypes:
         mats[relation] = raw_csr(np.random.default_rng(1), entries, (2, 2))
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             from_matrices(mats["S"], mats["O"], mats["A"], ("u0", "u1"), ("i0", "i1"))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):  # built directly too
+            SoanGraph(n=2, m=2, **mats, user_ids=("u0", "u1"), item_ids=("i0", "i1"))
         once = list({(r, c): (r, c, w) for r, c, w in entries}.values())
         mats[relation] = raw_csr(np.random.default_rng(1), once, (2, 2))  # the same column in two rows
         assert from_matrices(mats["S"], mats["O"], mats["A"], ("u0", "u1"), ("i0", "i1"))
@@ -659,6 +766,8 @@ class TestDomainTypes:
         message = f"S stores entry {(user, user)!r} on its diagonal"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             from_matrices(S, empty, empty, ("u0", "u1"), ("i0",))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):  # built directly too
+            SoanGraph(n=2, m=1, S=S, O=empty, A=empty, user_ids=("u0", "u1"), item_ids=("i0",))
         off = raw_csr(np.random.default_rng(2), [e for e in entries if e[0] != e[1]], (2, 2))
         assert from_matrices(off, empty, empty, ("u0", "u1"), ("i0",))
 
