@@ -18,7 +18,6 @@ from .graph import (
     PropagationMatrix,
     SoanGraph,
     Split,
-    ValidationReport,
     build_graph,
     datasets_equal,
     from_matrices,

@@ -34,11 +34,15 @@ class SoanGraph:
 
     Matrices are CSR with canonically sorted indices; explicit zeros are
     preserved.  ``user_ids[i]`` / ``item_ids[j]`` give the external string
-    identifier of row ``i`` / column ``j``.  Building one checks the sizes:
+    identifier of row ``i`` / column ``j``, held as tuples.  A graph that
+    exists is valid: building one refuses two user ids, or two item ids, that
+    share a ``str()`` (their bundle would not load), then checks the sizes:
     ``n`` and ``m`` count the ids, ``S`` is n x n, ``O`` and ``A`` are n x m.
     It then refuses a relation that stores a position twice and any entry on
     ``S``'s diagonal, a stored 0.0 included, and holds a relation whose
-    indices are unsorted as a sorted copy.
+    indices are unsorted as a sorted copy.  Last, it refuses weights that are
+    NaN or outside [0, 1] and an ``S`` that is not symmetric, in one error
+    naming each failure.
     """
 
     n: int
@@ -50,6 +54,13 @@ class SoanGraph:
     item_ids: tuple[str, ...]
 
     def __post_init__(self):
+        for name in ("user_ids", "item_ids"):
+            ids = tuple(getattr(self, name))
+            object.__setattr__(self, name, ids)
+            if len(set(map(str, ids))) < len(ids):
+                keys = list(map(str, ids))
+                _raise_first((_repeated(np.array(keys, dtype=object)), lambda k: ValidationError(
+                    f"{name}[{k}] {ids[k]!r} repeats {name}[{keys.index(keys[k])}]")))
         n, m = self.n, self.m
         if (len(self.user_ids), len(self.item_ids)) != (n, m):
             raise ValidationError(f"id counts {len(self.user_ids)}, {len(self.item_ids)} "
@@ -74,6 +85,16 @@ class SoanGraph:
         on_diagonal = sp.csr_matrix((np.ones(S.nnz, bool), S.indices, S.indptr), shape=S.shape).diagonal()
         _raise_first((on_diagonal, lambda r: ValidationError(
             f"S stores entry {(self.user_ids[r],) * 2!r} on its diagonal")))
+        errors = [f"{name} contains weights outside [0, 1]" for name in "SOA"
+                  if _outside_unit(getattr(self, name).data).any()]
+        # S is canonical, so it is symmetric iff its transpose (a counting pass,
+        # indices sorted) repeats its arrays.  Weights compare by ``==``: ``-0.0``
+        # equals ``0.0`` and NaN equals nothing, so a NaN tie is asymmetric.
+        T = S.T.tocsr()
+        if not all(map(np.array_equal, (S.indptr, S.indices, S.data), (T.indptr, T.indices, T.data))):
+            errors.append("S is not symmetric")
+        if errors:
+            raise ValidationError("; ".join(errors))
 
 
 @dataclass(frozen=True)
@@ -346,22 +367,11 @@ def from_matrices(
     user_ids: Sequence[str],
     item_ids: Sequence[str],
 ) -> SoanGraph:
-    """Wrap copies of already-built sparse relations, enforcing the graph invariants.
-
-    No two user ids, and no two item ids, may share a ``str()``: their bundle
-    would not load.  The graph's own checks refuse a position stored twice and
-    any entry on ``S``'s diagonal, and :func:`validate`'s errors are raised."""
-    for name, ids in (("user_ids", user_ids), ("item_ids", item_ids)):
-        keys = list(map(str, ids))
-        _raise_first((_repeated(np.array(keys, dtype=object)), lambda k: ValidationError(
-            f"{name}[{k}] {ids[k]!r} repeats {name}[{keys.index(keys[k])}]")))
-    graph = SoanGraph(n=len(user_ids), m=len(item_ids), S=sp.csr_matrix(S, copy=True),
-                      O=sp.csr_matrix(O, copy=True), A=sp.csr_matrix(A, copy=True),
-                      user_ids=tuple(user_ids), item_ids=tuple(item_ids))
-    report = validate(graph)
-    if not report.ok:
-        raise ValidationError("; ".join(report.errors))
-    return graph
+    """Wrap copies of already-built sparse relations in a :class:`SoanGraph`, whose
+    construction checks every invariant."""
+    return SoanGraph(n=len(user_ids), m=len(item_ids), S=sp.csr_matrix(S, copy=True),
+                     O=sp.csr_matrix(O, copy=True), A=sp.csr_matrix(A, copy=True),
+                     user_ids=user_ids, item_ids=item_ids)
 
 
 def propagation_matrix(graph: SoanGraph) -> PropagationMatrix:
@@ -382,43 +392,15 @@ def propagation_matrix(graph: SoanGraph) -> PropagationMatrix:
     return PropagationMatrix(N=N, degrees=degrees, n=n, m=m)
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of :func:`validate`: fatal structural errors plus warnings."""
-
-    errors: list[str]
-    warnings: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def validate(graph: SoanGraph) -> ValidationReport:
-    """Check structural invariants; isolation is reported but not fatal."""
-    errors: list[str] = []
-    warnings: list[str] = []
-
-    for name, mat in (("S", graph.S), ("O", graph.O), ("A", graph.A)):
-        if _outside_unit(mat.data).any():
-            errors.append(f"{name} contains weights outside [0, 1]")
-
-    # S is canonical, so it is symmetric iff its transpose (a counting pass,
-    # indices sorted) repeats its arrays.  Weights compare by ``==``: ``-0.0``
-    # equals ``0.0`` and NaN equals nothing, so a NaN tie is asymmetric.
-    S, T = graph.S, graph.S.T.tocsr()
-    if not all(map(np.array_equal, (S.indptr, S.indices, S.data), (T.indptr, T.indices, T.data))):
-        errors.append("S is not symmetric")
-
-    if not errors:  # links count stored entries, explicit zeros included
-        item_links = graph.O.getnnz(axis=0) + graph.A.getnnz(axis=0)
-        for j in np.nonzero(item_links == 0)[0]:
-            warnings.append(f"item {graph.item_ids[j]!r} has no assessments and no owners")
-        user_links = graph.S.getnnz(axis=1) + graph.O.getnnz(axis=1) + graph.A.getnnz(axis=1)
-        for u in np.nonzero(user_links == 0)[0]:
-            warnings.append(f"user {graph.user_ids[u]!r} has no edges")
-
-    return ValidationReport(errors, warnings)
+def validate(graph: SoanGraph) -> list[str]:
+    """The isolation warnings of ``graph``: each item with no assessments and no
+    owners, then each user with no edges.  Links count stored entries, explicit
+    zeros included.  Nothing here is fatal: a graph that exists is valid."""
+    item_links = graph.O.getnnz(axis=0) + graph.A.getnnz(axis=0)
+    user_links = graph.S.getnnz(axis=1) + graph.O.getnnz(axis=1) + graph.A.getnnz(axis=1)
+    return ([f"item {graph.item_ids[j]!r} has no assessments and no owners"
+             for j in np.nonzero(item_links == 0)[0]]
+            + [f"user {graph.user_ids[u]!r} has no edges" for u in np.nonzero(user_links == 0)[0]])
 
 
 def _same_values(a: np.ndarray, b: np.ndarray) -> bool:

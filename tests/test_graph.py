@@ -15,7 +15,6 @@ from peergrade import (
     SoanGraph,
     Split,
     ValidationError,
-    ValidationReport,
     build_graph,
     datasets_equal,
     from_matrices,
@@ -179,98 +178,113 @@ class TestPropagationMatrix:
 
 
 class TestValidate:
-    def test_clean_graph_empty_report(self):
-        report = validate(build_graph([("u1", "i1", 0.8)]))
-        assert report.ok and not report.warnings
+    def test_clean_graph_no_warnings(self):
+        assert validate(build_graph([("u1", "i1", 0.8)])) == []
 
     def test_isolated_item_warned(self):
-        report = validate(build_graph([("u1", "i1", 0.8)], items=["lonely"]))
-        assert report.ok
-        assert any("lonely" in w for w in report.warnings)
+        warnings = validate(build_graph([("u1", "i1", 0.8)], items=["lonely"]))
+        assert warnings == ["item 'lonely' has no assessments and no owners"]
 
     def test_isolated_user_warned(self):
-        report = validate(build_graph([("u1", "i1", 0.8)], users=["ghost"]))
-        assert any("ghost" in w for w in report.warnings)
+        warnings = validate(build_graph([("u1", "i1", 0.8)], users=["ghost"]))
+        assert warnings == ["user 'ghost' has no edges"]
 
-    def test_asymmetric_social_is_fatal(self):
-        g = build_graph([("u1", "i1", 0.8), ("u2", "i1", 0.6)])
-        bad_S = sp.csr_matrix(np.array([[0.0, 0.5], [0.0, 0.0]]))
-        broken = SoanGraph(n=g.n, m=g.m, S=bad_S, O=g.O, A=g.A,
-                           user_ids=g.user_ids, item_ids=g.item_ids)
-        report = validate(broken)
-        assert not report.ok
-        assert any("symmetric" in e for e in report.errors)
 
-    def test_asymmetric_social_weights_are_fatal(self):
-        # The pattern is symmetric; only the weights of (u1, u2) and (u2, u1) differ.
-        g = build_graph([("u1", "i1", 0.8), ("u2", "i1", 0.6)])
-        bad_S = sp.csr_matrix(np.array([[0.0, 0.5], [0.3, 0.0]]))
-        broken = SoanGraph(n=g.n, m=g.m, S=bad_S, O=g.O, A=g.A,
-                           user_ids=g.user_ids, item_ids=g.item_ids)
-        assert validate(broken).errors == ["S is not symmetric"]
-        with pytest.raises(ValidationError, match="^S is not symmetric$"):
-            from_matrices(bad_S, g.O, g.A, g.user_ids, g.item_ids)
+def assert_refused(fields: dict, message: str) -> None:
+    """Building a SoanGraph of ``fields`` raises ``message``, and so does from_matrices."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        SoanGraph(**fields)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        from_matrices(*(fields[name] for name in ("S", "O", "A", "user_ids", "item_ids")))
 
-    def test_out_of_range_weight_is_fatal(self):
-        g = build_graph([("u1", "i1", 0.8)])
-        bad_A = sp.csr_matrix(np.array([[1.8]]))
-        broken = SoanGraph(n=1, m=1, S=g.S, O=g.O, A=bad_A,
-                           user_ids=g.user_ids, item_ids=g.item_ids)
-        assert not validate(broken).ok
 
-    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -0.5, 1.0 + 2**-52])
-    def test_weight_outside_unit_interval_is_fatal(self, weight):
-        g = build_graph([("u1", "i1", 0.8)])
-        broken = SoanGraph(n=1, m=1, S=g.S, O=g.O, A=sp.csr_matrix(np.array([[weight]])),
-                           user_ids=g.user_ids, item_ids=g.item_ids)
-        assert validate(broken).errors == ["A contains weights outside [0, 1]"]
+class TestConstructionRefuses:
+    """Every fatal check runs when a SoanGraph is built, whoever builds it."""
+
+    @pytest.mark.parametrize("relation", ["S", "O", "A"])
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -0.5, -5e-324, 1.0 + 2**-52, 5.0])
+    def test_weight_outside_unit_interval(self, relation, weight):
+        if relation == "S":  # stored both ways, so only a NaN is also asymmetric
+            fields = two_users([weight, weight], [1, 0], [0, 1, 2])
+        else:
+            fields = {**two_users([0.5, 0.5], [1, 0], [0, 1, 2]), relation: sp.csr_matrix([[0.5], [weight]])}
+        nan_tie = relation == "S" and np.isnan(weight)
+        assert_refused(fields, f"{relation} contains weights outside [0, 1]"
+                               + ("; S is not symmetric" if nan_tie else ""))
+
+    def test_each_relation_out_of_range_is_named_in_order(self):
+        fields = {**two_users([2.0, 2.0], [1, 0], [0, 1, 2]),
+                  "O": sp.csr_matrix([[0.5], [-1.0]]), "A": sp.csr_matrix([[np.nan], [0.5]])}
+        assert_refused(fields, "S contains weights outside [0, 1]; O contains weights outside [0, 1]; "
+                               "A contains weights outside [0, 1]")
+
+    def test_asymmetric_pattern(self):
+        assert_refused(two_users([0.5], [1], [0, 1, 1]), "S is not symmetric")
+
+    def test_asymmetric_weights(self):
+        # The pattern is symmetric; only the weights of (u0, u1) and (u1, u0) differ.
+        assert_refused(two_users([0.5, 0.3], [1, 0], [0, 1, 2]), "S is not symmetric")
+
+    def test_nan_tie_names_both_failures(self):
+        assert_refused(two_users([np.nan, np.nan], [1, 0], [0, 1, 2]),
+                       "S contains weights outside [0, 1]; S is not symmetric")
+
+    def test_repeated_ids_are_checked_before_the_sizes(self):
+        with pytest.raises(ValidationError, match=r"^user_ids\[2\] 'a' repeats user_ids\[0\]$"):
+            SoanGraph(n=2, m=0, S=sp.csr_matrix((1, 1)), O=sp.csr_matrix((1, 0)),
+                      A=sp.csr_matrix((1, 0)), user_ids=("a", "b", "a"), item_ids=())
 
     def test_nonzero_social_diagonal_is_fatal(self):
-        # Refused when the graph is built, so validate never sees it.
         g = build_graph([("u1", "i1", 0.8), ("u2", "i1", 0.6)])
         bad_S = sp.csr_matrix(np.diag([0.5, 0.0]))
         with pytest.raises(ValidationError, match=r"^S stores entry \('u1', 'u1'\) on its diagonal$"):
             SoanGraph(n=2, m=1, S=bad_S, O=g.O, A=g.A, user_ids=g.user_ids, item_ids=g.item_ids)
 
 
-# The pattern-copy validate of an earlier version, verbatim: the reference
-# for the stored-entry counts of the current one.
+class TestIdsAreHeldAsTuples:
+    def test_list_ids_equal_the_built_graph(self, tmp_path):
+        g = build_graph([("u0", "i0", 0.5)])
+        listed = SoanGraph(1, 1, g.S, g.O, g.A, ["u0"], ["i0"])
+        assert listed.user_ids == ("u0",) and listed.item_ids == ("i0",)
+        assert graphs_equal(listed, g) and graphs_equal(g, listed)
+        assert graphs_equal(from_matrices(g.S, g.O, g.A, ["u0"], ["i0"]), g)
+        dataset = Dataset(graph=listed, truth=GroundTruth.full([0.5]))
+        save_dataset(dataset, tmp_path / "bundle")
+        assert datasets_equal(load_dataset(tmp_path / "bundle"), dataset)
+
+    def test_array_ids_compare_without_error(self):
+        g = build_graph([("u0", "i0", 0.5), ("u1", "i1", 0.5)])
+        a, b = (SoanGraph(2, 2, g.S, g.O, g.A, np.array(g.user_ids), np.array(g.item_ids))
+                for _ in range(2))
+        assert isinstance(a.user_ids, tuple) and isinstance(a.item_ids, tuple)
+        assert graphs_equal(a, b) and graphs_equal(a, g)
+
+
+# The pattern-copy validate of an earlier version, its warning half verbatim:
+# the reference for the stored-entry counts of the current one.
 def _structural_pattern(mat: sp.csr_matrix) -> sp.csr_matrix:
     pat = mat.copy()
     pat.data = np.ones_like(pat.data)
     return pat
 
 
-def reference_validate(graph: SoanGraph) -> ValidationReport:
-    """Check structural invariants; isolation is reported but not fatal."""
-    errors: list[str] = []
+def reference_validate(graph: SoanGraph) -> list[str]:
+    """The isolation warnings: each item with no links, then each user with none."""
     warnings: list[str] = []
-
-    for name, mat in (("S", graph.S), ("O", graph.O), ("A", graph.A)):
-        if _outside_unit(mat.data).any():
-            errors.append(f"{name} contains weights outside [0, 1]")
-
-    if np.count_nonzero(graph.S.diagonal()):
-        errors.append("S has nonzero diagonal entries (self-friendship)")
     spat = _structural_pattern(graph.S)
-    if (spat != spat.T).nnz or (graph.S != graph.S.T).nnz:
-        errors.append("S is not symmetric")
-
-    if not errors:
-        opat = _structural_pattern(graph.O)
-        apat = _structural_pattern(graph.A)
-        item_links = np.asarray((opat.sum(axis=0) + apat.sum(axis=0))).ravel()
-        for j in np.nonzero(item_links == 0)[0]:
-            warnings.append(f"item {graph.item_ids[j]!r} has no assessments and no owners")
-        user_links = (
-            np.asarray(spat.sum(axis=1)).ravel()
-            + np.asarray(opat.sum(axis=1)).ravel()
-            + np.asarray(apat.sum(axis=1)).ravel()
-        )
-        for u in np.nonzero(user_links == 0)[0]:
-            warnings.append(f"user {graph.user_ids[u]!r} has no edges")
-
-    return ValidationReport(errors, warnings)
+    opat = _structural_pattern(graph.O)
+    apat = _structural_pattern(graph.A)
+    item_links = np.asarray((opat.sum(axis=0) + apat.sum(axis=0))).ravel()
+    for j in np.nonzero(item_links == 0)[0]:
+        warnings.append(f"item {graph.item_ids[j]!r} has no assessments and no owners")
+    user_links = (
+        np.asarray(spat.sum(axis=1)).ravel()
+        + np.asarray(opat.sum(axis=1)).ravel()
+        + np.asarray(apat.sum(axis=1)).ravel()
+    )
+    for u in np.nonzero(user_links == 0)[0]:
+        warnings.append(f"user {graph.user_ids[u]!r} has no edges")
+    return warnings
 
 
 def raw_csr(rng, entries, shape):
@@ -316,7 +330,8 @@ def messy_graph(rng) -> dict:
 def reference_refusal(n, m, S, O, A, user_ids, item_ids) -> str | None:
     """The error that building a SoanGraph of these fields raises, by a loop over
     sorted positions: the first position stored twice, in S, O, then A, else
-    S's first diagonal entry; None for fields it accepts."""
+    S's first diagonal entry, else the range and symmetry errors of the
+    pattern-copy validate, joined; None for fields it accepts."""
     for name, mat, col_ids in (("S", S, user_ids), ("O", O, item_ids), ("A", A, item_ids)):
         coo = mat.tocoo()
         positions = sorted(zip(coo.row.tolist(), coo.col.tolist()))
@@ -327,7 +342,14 @@ def reference_refusal(n, m, S, O, A, user_ids, item_ids) -> str | None:
     for row, col in sorted(zip(coo.row.tolist(), coo.col.tolist())):
         if row == col:
             return f"S stores entry {(user_ids[row], user_ids[row])!r} on its diagonal"
-    return None
+    errors = []
+    for name, mat in (("S", S), ("O", O), ("A", A)):
+        if _outside_unit(mat.data).any():
+            errors.append(f"{name} contains weights outside [0, 1]")
+    spat = _structural_pattern(S)
+    if (spat != spat.T).nnz or (S != S.T).nnz:
+        errors.append("S is not symmetric")
+    return "; ".join(errors) or None
 
 
 def stored(*mats) -> list[bytes]:
@@ -342,12 +364,12 @@ def two_users(data, indices, indptr) -> dict:
 
 
 # S of two users, each case by its verdict: (data, indices, indptr) of the CSR arrays,
-# and validate's errors or, for a graph refused when built, the error it raises.
+# and the error that building the graph raises, or None for a graph it accepts.
 EXPLICIT_S = {
-    "0.0 tie stored one way only": (([0.0], [1], [0, 1, 1]), ["S is not symmetric"]),
+    "0.0 tie stored one way only": (([0.0], [1], [0, 1, 1]), "S is not symmetric"),
     "NaN tie stored both ways": (([np.nan, np.nan], [1, 0], [0, 1, 2]),
-                                 ["S contains weights outside [0, 1]", "S is not symmetric"]),
-    "0.0 one way, -0.0 the other": (([0.0, -0.0], [1, 0], [0, 1, 2]), []),
+                                 "S contains weights outside [0, 1]; S is not symmetric"),
+    "0.0 one way, -0.0 the other": (([0.0, -0.0], [1, 0], [0, 1, 2]), None),
     "stored twice one way, once the other": (([0.25, 0.25, 0.5], [1, 1, 0], [0, 2, 3]),
                                              "S stores entry ('u0', 'u1') twice"),
     "stored twice both ways": (([0.25, 0.5, 0.5, 0.25], [1, 1, 0, 0], [0, 2, 4]),
@@ -365,11 +387,8 @@ class TestValidateCountsStoredEntries:
         rng = np.random.default_rng(19)
         explicit = {name: two_users(*arrays) for name, (arrays, _) in EXPLICIT_S.items()}
         for name, (_, verdict) in EXPLICIT_S.items():
-            if isinstance(verdict, str):
-                assert reference_refusal(**explicit[name]) == verdict, name
-            else:
-                assert reference_validate(SoanGraph(**explicit[name])).errors == verdict, name
-        errors = warnings = refused = unsorted = 0
+            assert reference_refusal(**explicit[name]) == verdict, name
+        weights_refused = warnings = refused = unsorted = 0
         for fields in [*explicit.values(), *(messy_graph(rng) for _ in range(1200))]:
             given = stored(fields["S"], fields["O"], fields["A"])
             refusal = reference_refusal(**fields)
@@ -377,6 +396,7 @@ class TestValidateCountsStoredEntries:
                 with pytest.raises(ValidationError, match=f"^{re.escape(refusal)}$"):
                     SoanGraph(**fields)
                 refused += 1
+                weights_refused += "contains weights" in refusal or "symmetric" in refusal
                 continue
             g = SoanGraph(**fields)
             assert stored(fields["S"], fields["O"], fields["A"]) == given
@@ -384,17 +404,16 @@ class TestValidateCountsStoredEntries:
             expected = reference_validate(g)
             assert validate(g) == expected
             assert stored(g.S, g.O, g.A) == before
-            errors += bool(expected.errors)
-            warnings += bool(expected.warnings)
+            warnings += bool(expected)
             unsorted += not all(fields[name].has_sorted_indices for name in "SOA")
-        assert errors > 200 and warnings > 200  # both branches are exercised
+        assert weights_refused > 200 and warnings > 200  # both verdicts are exercised
         assert refused >= 200 and unsorted >= 200, (refused, unsorted)
 
     def test_explicit_zero_links_count(self):
         # i1's only link and u1's only edge are 0.0 grades; u2 and u3 share only a 0.0 tie.
         g = build_graph([("u1", "i1", 0.0)], social=[("u2", "u3", 0.0)])
         assert g.A.nnz == 1 and g.S.nnz == 2
-        assert validate(g) == ValidationReport([], [])
+        assert validate(g) == []
 
 
 # _symmetric before it sorted the ties once and took one transpose, verbatim:
@@ -527,7 +546,7 @@ class TestPropagationReference:
             seen["owned and graded"] += bool(g.O.multiply(g.A.astype(bool)).nnz)
             seen["empty S"] += g.S.nnz == 0 and g.n > 1
             seen["empty O"] += g.O.nnz == 0
-            seen["lone node"] += bool(validate(g).warnings)
+            seen["lone node"] += bool(validate(g))
             seen["n or m = 1"] += 1 in (g.n, g.m)
         assert min(seen.values()) >= 30, seen
 
@@ -542,8 +561,6 @@ class TestPositionsStoredTwice:
                 seen["refused"] += 1
                 continue
             g = SoanGraph(**fields)
-            if any(_outside_unit(mat.data).any() for mat in (g.S, g.O, g.A)):
-                continue
             prop = propagation_matrix(g)
             N_ref, deg_ref = dense_propagation(g)
             np.testing.assert_allclose(prop.N.toarray(), N_ref, atol=1e-15)
@@ -732,11 +749,15 @@ class TestDomainTypes:
         (("a", "a"), ("i", "j"), "user_ids[1] 'a' repeats user_ids[0]"),
         (("a", "b"), ("i", "j", "j"), "item_ids[2] 'j' repeats item_ids[1]"),
         ((1, "1"), ("i", "j"), "user_ids[1] '1' repeats user_ids[0]"),  # one text in a bundle
+        (("a", "b"), (2, "j", "2"), "item_ids[2] '2' repeats item_ids[0]"),
     ])
     def test_from_matrices_rejects_repeated_ids(self, users, items, message):
         empty = sp.csr_matrix((2, len(items)))
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             from_matrices(sp.csr_matrix((2, 2)), empty, empty, users, items)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):  # built directly too
+            SoanGraph(n=2, m=len(items), S=sp.csr_matrix((2, 2)), O=empty, A=empty,
+                      user_ids=users, item_ids=items)
 
     @pytest.mark.parametrize("relation, entries, message", [
         ("A", [(1, 0, 0.5), (0, 0, 0.25), (0, 0, 0.25)], "A stores entry ('u0', 'i0') twice"),

@@ -239,12 +239,9 @@ class TestRoundTrip:
         g = build_graph([("u1", "i1", 0.8), ("u2", "i1", 0.6)], social=[("u1", "u2", 0.5)])
         save_dataset(Dataset(graph=g, truth=GroundTruth.full([0.5])), tmp_path)
         assert (tmp_path / "social.csv").read_bytes() == b"user_a,user_b,weight\r\nu1,u2,0.5\r\n"
-        # An invalid S with no upper-triangle entry has no edge to write: no file,
-        # and the bundle loads with an empty social relation.
-        lower = replace(g, S=sp.tril(g.S, format="csr"))
-        save_dataset(Dataset(graph=lower, truth=GroundTruth.full([0.5])), tmp_path)
-        assert not (tmp_path / "social.csv").exists()
-        assert load_dataset(tmp_path).graph.S.nnz == 0
+        # A lower-triangle S, whose bundle would hold no tie, is refused when built.
+        with pytest.raises(ValidationError, match="^S is not symmetric$"):
+            replace(g, S=sp.tril(g.S, format="csr"))
 
     def test_seventeen_digit_precision(self, tmp_path):
         value = 0.1 + 0.2  # 0.30000000000000004

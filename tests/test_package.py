@@ -64,3 +64,10 @@ def test_only_the_model_builds_its_input():
     assert list(inspect.signature(peergrade.predict).parameters) == ["params", "prop", "item_ids"]
     assert list(inspect.signature(peergrade.model.backward).parameters) == [
         "cache", "truth", "train_ids"]
+
+
+def test_graph_checks_leave_no_report_type():
+    # Every fatal check runs when a SoanGraph is built; validate lists isolation warnings alone.
+    assert not any(hasattr(module, "ValidationReport") for module in (peergrade, peergrade.graph))
+    warnings = peergrade.validate(peergrade.build_graph([("u1", "i1", 0.5)], users=["lone"]))
+    assert warnings == ["user 'lone' has no edges"]
